@@ -18,14 +18,13 @@ import csv
 import json
 import sys
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import replace
+from functools import partial
 
 import numpy as np
 
 from .cloner import LinkParams
 from .config import (
-    LinkBuild,
-    SweepSpec,
     fiber_from_config,
     link_from_config,
     load_config,
@@ -110,37 +109,23 @@ def _params_dict(p: LinkParams, distance_km: float | None) -> dict:
 
 def cmd_rate(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    build = link_from_config(cfg, trust_override=args.trust, detection_override=args.detection)
-    proto = protocol_from_config(cfg)
-    params = build.params()
-    result = evaluate(params, proto)
-    _emit_json(
-        {"params": _params_dict(params, build.distance_km), **_result_dict(result)},
-        args.out,
+    params, distance_km = link_from_config(
+        cfg, trust_override=args.trust, detection_override=args.detection
     )
+    result = evaluate(params, protocol_from_config(cfg))
+    _emit_json({"params": _params_dict(params, distance_km), **_result_dict(result)}, args.out)
     return 0
 
 
-@dataclass(frozen=True)
-class _SweepTask:
-    variable: str
-    value: float
-    params: LinkParams
-    proto: ProtocolParams
-    optimize: bool
-
-
-def _run_task(task: _SweepTask) -> list[str]:
-    if task.optimize:
-        opt = optimize_vmod(task.params, task.proto)
-        params = replace(task.params, v_mod=opt.v_mod)
+def _solve_row(params: LinkParams, proto: ProtocolParams, optimize: bool) -> list[str]:
+    """CSV cells of one sweep row after its variable and value."""
+    if optimize:
+        opt = optimize_vmod(params, proto)
+        params = replace(params, v_mod=opt.v_mod)
         result = opt.result
     else:
-        params = task.params
-        result = evaluate(params, task.proto)
+        result = evaluate(params, proto)
     return [
-        task.variable,
-        _fmt(task.value),
         params.trust.value,
         params.detection.value,
         _fmt(params.v_mod),
@@ -157,85 +142,59 @@ def _run_task(task: _SweepTask) -> list[str]:
     ]
 
 
-def _sweep_tasks(build: LinkBuild, proto: ProtocolParams, spec: SweepSpec, cfg) -> list[_SweepTask]:
-    if spec.scale == "log":
-        grid = np.geomspace(spec.start, spec.stop, spec.points)
-    else:
-        grid = np.linspace(spec.start, spec.stop, spec.points)
-    fiber = fiber_from_config(cfg)
-
-    needs_vmod = not (spec.optimize_vmod or spec.variable == "v_mod")
-    base_vmod = build.v_mod
-    if needs_vmod and base_vmod is None:
-        raise ConfigError("missing required key: link.v_mod")
-
-    tasks = []
-    for value in grid.tolist():
-        for trust in spec.trust_cases:
-            params = build.params(v_mod=base_vmod if base_vmod is not None else 1.0)
-            params = replace(params, trust=trust)
-            if spec.variable == "distance_km":
-                params = replace(params, t_ch=fiber.t_ch(value))
-            elif spec.variable == "v_mod":
-                params = replace(params, v_mod=value)
-            else:
-                params = replace(params, **{spec.variable: value})
-            tasks.append(
-                _SweepTask(
-                    variable=spec.variable,
-                    value=value,
-                    params=params,
-                    proto=proto,
-                    optimize=spec.optimize_vmod,
-                )
-            )
-    return tasks
-
-
 def cmd_sweep(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    build = link_from_config(cfg, trust_override=args.trust, detection_override=args.detection)
-    proto = protocol_from_config(cfg)
     spec = sweep_from_config(cfg)
     if args.trust:
         spec = replace(spec, trust_cases=(parse_trust(args.trust),))
-    tasks = _sweep_tasks(build, proto, spec, cfg)
+    base, _ = link_from_config(
+        cfg,
+        trust_override=args.trust,
+        detection_override=args.detection,
+        needs_vmod=not (spec.optimize_vmod or spec.variable == "v_mod"),
+    )
+    proto = protocol_from_config(cfg)
+    fiber = fiber_from_config(cfg)
+    if spec.scale == "log":
+        grid = np.geomspace(spec.start, spec.stop, spec.points).tolist()
+    else:
+        grid = np.linspace(spec.start, spec.stop, spec.points).tolist()
 
+    links = []
+    for value in grid:
+        change = {"t_ch": fiber.t_ch(value)} if spec.variable == "distance_km" else {spec.variable: value}
+        links.extend(replace(base, trust=trust, **change) for trust in spec.trust_cases)
+
+    solve = partial(_solve_row, proto=proto, optimize=spec.optimize_vmod)
     jobs = max(1, args.jobs)
     if jobs > 1:
         with ProcessPoolExecutor(max_workers=jobs) as pool:
-            rows = list(pool.map(_run_task, tasks, chunksize=max(1, len(tasks) // (4 * jobs))))
+            cells = list(pool.map(solve, links, chunksize=max(1, len(links) // (4 * jobs))))
     else:
-        rows = [_run_task(t) for t in tasks]
+        cells = [solve(link) for link in links]
 
+    values = [value for value in grid for _ in spec.trust_cases]
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        writer.writerows([spec.variable, _fmt(value), *row] for value, row in zip(values, cells))
     return 0
 
 
 def cmd_optimize(args: argparse.Namespace) -> int:
     cfg = load_config(args.config)
-    build = link_from_config(cfg, trust_override=args.trust, detection_override=args.detection)
+    params, _ = link_from_config(
+        cfg, trust_override=args.trust, detection_override=args.detection, needs_vmod=False
+    )
     proto = protocol_from_config(cfg)
     opts = optimize_from_config(cfg)
 
     if args.mode == "vmod":
-        params = build.params(v_mod=build.v_mod if build.v_mod is not None else 1.0)
         opt = optimize_vmod(params, proto, bounds=(opts.vmod_lo, opts.vmod_hi))
-        payload = {
-            "mode": "vmod",
-            "v_mod": opt.v_mod,
-            "t_rec": params.t_rec,
-            "boundary": opt.boundary,
-            "snr_residual": None,
-            "rate": _result_dict(opt.result),
-        }
+        t_rec, snr_residual = params.t_rec, None
     else:
         if opts.snr_target is None:
             raise ConfigError("missing required key: optimize.snr_target")
-        params = build.params(v_mod=build.v_mod if build.v_mod is not None else 1.0)
         opt = optimize_vmod_trec_snr_locked(
             params,
             proto,
@@ -243,14 +202,15 @@ def cmd_optimize(args: argparse.Namespace) -> int:
             t_rec_floor=opts.t_rec_floor,
             vmod_max=opts.vmod_hi,
         )
-        payload = {
-            "mode": "vmod_trec_snr",
-            "v_mod": opt.v_mod,
-            "t_rec": opt.t_rec,
-            "boundary": opt.boundary,
-            "snr_residual": opt.snr_residual,
-            "rate": _result_dict(opt.result),
-        }
+        t_rec, snr_residual = opt.t_rec, opt.snr_residual
+    payload = {
+        "mode": args.mode,
+        "v_mod": opt.v_mod,
+        "t_rec": t_rec,
+        "boundary": opt.boundary,
+        "snr_residual": snr_residual,
+        "rate": _result_dict(opt.result),
+    }
     _emit_json(payload, args.out)
     return 0
 
@@ -300,6 +260,9 @@ def main(argv: list[str] | None = None) -> int:
         return 2
     except (DomainError, UsageError) as exc:
         print(f"invalid input: {exc}", file=sys.stderr)
+        return 2
+    except ArithmeticError as exc:
+        print(f"invalid input: arithmetic error ({type(exc).__name__}: {exc})", file=sys.stderr)
         return 2
     except ConstraintError as exc:
         print(f"constraint error: {exc}", file=sys.stderr)

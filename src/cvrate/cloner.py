@@ -23,7 +23,6 @@ import numpy as np
 
 from .errors import DomainError, PhysicalityError, UsageError
 from .gaussian import (
-    SIGMA_Z,
     CovMatrix,
     apply_symplectic,
     beamsplitter,
@@ -32,6 +31,7 @@ from .gaussian import (
     epr_state,
     thermal_state,
     two_mode_eigs,
+    two_mode_state,
     von_neumann_entropy,
 )
 
@@ -94,11 +94,9 @@ class LinkParams:
     def __post_init__(self):
         for name in ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr"):
             object.__setattr__(self, name, float(getattr(self, name)))
-        if self.v_mod < 0.0:
-            raise DomainError(f"v_mod must be >= 0, got {self.v_mod}")
-        for name in ("xi_pr", "xi_ch", "xi_rec"):
-            if getattr(self, name) < 0.0:
-                raise DomainError(f"{name} must be >= 0, got {getattr(self, name)}")
+        for name in ("v_mod", "xi_pr", "xi_ch", "xi_rec"):
+            if not 0.0 <= getattr(self, name) < math.inf:
+                raise DomainError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("t_ch", "t_rec"):
             t = getattr(self, name)
             if not 0.0 < t <= 1.0:
@@ -249,14 +247,8 @@ def eve_state(params: LinkParams) -> CovMatrix:
     bookkeeping.
     """
     v, t_ch, _, w_ch, _, _ = _model(params)
-    a = (1.0 - t_ch) * v + t_ch * w_ch
     c = math.sqrt(t_ch * (w_ch * w_ch - 1.0))
-    out = np.zeros((4, 4))
-    out[:2, :2] = a * np.eye(2)
-    out[2:, 2:] = w_ch * np.eye(2)
-    out[:2, 2:] = c * SIGMA_Z
-    out[2:, :2] = c * SIGMA_Z
-    return CovMatrix(out)
+    return two_mode_state((1.0 - t_ch) * v + t_ch * w_ch, w_ch, c)
 
 
 def eve_conditional_het(params: LinkParams) -> tuple[float, float]:

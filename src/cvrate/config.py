@@ -9,6 +9,7 @@ a fibre length (``distance_km``), converted through the fibre attenuation.
 from __future__ import annotations
 
 import configparser
+import math
 from dataclasses import dataclass
 
 from .cloner import Detection, LinkParams, Trust
@@ -25,14 +26,14 @@ class FiberModel:
     attenuation_db_per_km: float = 0.2
 
     def __post_init__(self):
-        if self.attenuation_db_per_km < 0.0:
+        if not 0.0 <= self.attenuation_db_per_km < math.inf:
             raise DomainError(
-                f"attenuation_db_per_km must be >= 0, got {self.attenuation_db_per_km}"
+                f"attenuation_db_per_km must be finite and >= 0, got {self.attenuation_db_per_km}"
             )
 
     def t_ch(self, distance_km: float) -> float:
-        if distance_km < 0.0:
-            raise DomainError(f"distance_km must be >= 0, got {distance_km}")
+        if not 0.0 <= distance_km < math.inf:
+            raise DomainError(f"distance_km must be finite and >= 0, got {distance_km}")
         return 10.0 ** (-self.attenuation_db_per_km * distance_km / 10.0)
 
 
@@ -65,36 +66,6 @@ class SweepSpec:
             raise ConfigError("sweep needs at least one trust case")
         if self.variable == "v_mod" and self.optimize_vmod:
             raise ConfigError("cannot sweep v_mod and optimize it at the same time")
-
-
-@dataclass(frozen=True)
-class LinkBuild:
-    """Parsed [link] section; v_mod may be deferred to a sweep or optimizer."""
-
-    v_mod: float | None
-    xi_pr: float
-    t_ch: float
-    xi_ch: float
-    t_rec: float
-    xi_rec: float
-    detection: Detection
-    trust: Trust
-    distance_km: float | None
-
-    def params(self, v_mod: float | None = None) -> LinkParams:
-        v = self.v_mod if v_mod is None else v_mod
-        if v is None:
-            raise ConfigError("missing required key: link.v_mod")
-        return LinkParams(
-            v_mod=v,
-            xi_pr=self.xi_pr,
-            t_ch=self.t_ch,
-            xi_ch=self.xi_ch,
-            t_rec=self.t_rec,
-            xi_rec=self.xi_rec,
-            detection=self.detection,
-            trust=self.trust,
-        )
 
 
 def parse_trust(text: str) -> Trust:
@@ -161,7 +132,15 @@ def link_from_config(
     *,
     trust_override: str | None = None,
     detection_override: str | None = None,
-) -> LinkBuild:
+    needs_vmod: bool = True,
+) -> tuple[LinkParams, float | None]:
+    """The [link] section as validated parameters, plus the fibre length
+    ``t_ch`` was derived from (None when ``t_ch`` was given directly).
+
+    A command that chooses v_mod itself passes ``needs_vmod=False``: a
+    missing v_mod is then replaced by the stand-in 1.0, while a given one is
+    still validated.
+    """
     if not cfg.has_section("link"):
         raise ConfigError("missing required section: [link]")
     t_ch = _get_float(cfg, "link", "t_ch")
@@ -180,8 +159,9 @@ def link_from_config(
     if trust_text is None:
         raise ConfigError("missing required key: link.trust")
 
-    return LinkBuild(
-        v_mod=_get_float(cfg, "link", "v_mod"),
+    v_mod = _require_float(cfg, "link", "v_mod") if needs_vmod else _get_float(cfg, "link", "v_mod", 1.0)
+    params = LinkParams(
+        v_mod=v_mod,
         xi_pr=_get_float(cfg, "link", "xi_pr", 0.0),
         t_ch=t_ch,
         xi_ch=_require_float(cfg, "link", "xi_ch"),
@@ -189,8 +169,8 @@ def link_from_config(
         xi_rec=_require_float(cfg, "link", "xi_rec"),
         detection=parse_detection(detection_text),
         trust=parse_trust(trust_text),
-        distance_km=distance,
     )
+    return params, distance
 
 
 def protocol_from_config(cfg: configparser.ConfigParser) -> ProtocolParams:

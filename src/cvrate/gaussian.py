@@ -118,10 +118,15 @@ def epr_state(variance: float) -> CovMatrix:
     """
     if variance < 1.0:
         raise DomainError(f"EPR variance must be >= 1 SNU, got {variance}")
-    c = math.sqrt(variance * variance - 1.0)
+    return two_mode_state(variance, variance, math.sqrt(variance * variance - 1.0))
+
+
+def two_mode_state(a: float, b: float, c: float) -> CovMatrix:
+    """Two-mode state [[a I, c sigma_z], [c sigma_z, b I]]; its symplectic
+    eigenvalues are :func:`two_mode_eigs` (a, b, c)."""
     out = np.zeros((4, 4))
-    out[:2, :2] = variance * np.eye(2)
-    out[2:, 2:] = variance * np.eye(2)
+    out[:2, :2] = a * np.eye(2)
+    out[2:, 2:] = b * np.eye(2)
     out[:2, 2:] = c * SIGMA_Z
     out[2:, :2] = c * SIGMA_Z
     return CovMatrix(out)

@@ -41,8 +41,8 @@ class ProtocolParams:
             raise DomainError(
                 f"disclosed_fraction must lie in [0, 1), got {self.disclosed_fraction}"
             )
-        if self.f_sym is not None and self.f_sym <= 0.0:
-            raise DomainError(f"f_sym must be positive, got {self.f_sym}")
+        if self.f_sym is not None and not 0.0 < self.f_sym < math.inf:
+            raise DomainError(f"f_sym must be positive and finite, got {self.f_sym}")
 
 
 @dataclass(frozen=True)

@@ -21,9 +21,11 @@ import math
 import numpy as np
 
 from .cloner import (
+    _MIN_OPEN_PORT,
     Detection,
     LinkParams,
     Trust,
+    _clamped_t,
     effective_v,
     effective_xi_ch,
     noise_source_variances,
@@ -42,21 +44,10 @@ from .gaussian import (
     epr_state,
     mode_permutation,
     symplectic_eigenvalues,
+    two_mode_state,
     vacuum_state,
     von_neumann_entropy,
 )
-
-_MIN_OPEN_PORT = 1e-12
-
-
-def _two_mode_form(a: float, b: float, c: float) -> CovMatrix:
-    out = np.zeros((4, 4))
-    out[:2, :2] = a * np.eye(2)
-    out[2:, 2:] = b * np.eye(2)
-    out[:2, 2:] = c * SIGMA_Z
-    out[2:, :2] = c * SIGMA_Z
-    return CovMatrix(out)
-
 
 def ab_matrix_untrusted(params: LinkParams) -> CovMatrix:
     """Transmitter-receiver state with everything attributed to the channel.
@@ -67,7 +58,7 @@ def ab_matrix_untrusted(params: LinkParams) -> CovMatrix:
     v = params.v
     b = params.t_tot * (v - 1.0) + 1.0 + params.xi_tot
     c = math.sqrt(params.t_tot * (v * v - 1.0))
-    return _two_mode_form(v, b, c)
+    return two_mode_state(v, b, c)
 
 
 def ab_matrix_trusted(params: LinkParams) -> CovMatrix:
@@ -81,7 +72,7 @@ def ab_matrix_trusted(params: LinkParams) -> CovMatrix:
     xi = effective_xi_ch(params)
     b = params.t_ch * (v - 1.0) + 1.0 + xi
     c = math.sqrt(params.t_ch * (v * v - 1.0))
-    return _two_mode_form(v, b, c)
+    return two_mode_state(v, b, c)
 
 
 def _receiver_stage(t_rec: float, xi_rec: float) -> SympMatrix:
@@ -188,9 +179,7 @@ def purified_total_state(params: LinkParams) -> CovMatrix:
     if params.trust is Trust.UNTRUSTED_ALL:
         params = receiver_folded(params)
     w_ch, _ = noise_source_variances(params)
-    t_ch = params.t_ch
-    if effective_xi_ch(params) > 0.0:
-        t_ch = min(t_ch, 1.0 - _MIN_OPEN_PORT)
+    t_ch = _clamped_t(params.t_ch, effective_xi_ch(params))
     state = direct_sum([epr_state(effective_v(params)), epr_state(w_ch)])
     return apply_symplectic(beamsplitter(4, 1, 2, t_ch), state)
 

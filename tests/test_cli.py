@@ -1,7 +1,9 @@
 import csv
 import json
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -136,6 +138,43 @@ class TestRate:
         cfg = write(tmp_path, "bad.ini", POINT_CONFIG.replace("xi_ch = 0.05", "xi_ch = -1"))
         assert main(["rate", "--config", cfg]) == 2
         assert "xi_ch" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "line",
+        [
+            "v_mod = nan",
+            "v_mod = inf",
+            "xi_ch = nan",
+            "xi_rec = inf",
+            "f_sym = nan",
+            "f_sym = inf",
+            "distance_km = nan",
+            "distance_km = inf",
+            "attenuation_db_per_km = nan",
+            "attenuation_db_per_km = inf",
+        ],
+    )
+    def test_non_finite_input_exits_2(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        cfg = write(tmp_path, "nan.ini", re.sub(rf"^{key} = .*$", line, DISTANCE_CONFIG, flags=re.M))
+        assert main(["rate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("invalid input: ") and key in captured.err
+        assert captured.err.count("\n") == 1
+
+    def test_overflow_exits_2_without_traceback(self, tmp_path):
+        cfg = write(tmp_path, "huge.ini", POINT_CONFIG.replace("v_mod = 4.0", "v_mod = 1e300"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "cvrate.cli", "rate", "--config", cfg],
+            capture_output=True,
+            text=True,
+        )
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("invalid input: ")
+        assert proc.stderr.count("\n") == 1
+        assert "Traceback" not in proc.stderr
 
 
 class TestSweep:
@@ -332,3 +371,26 @@ def test_module_is_runnable_as_script(tmp_path):
     )
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["secret_fraction"] > 0
+
+
+ROOT = Path(__file__).resolve().parents[1]
+
+# Exact bytes of the shipped configs' outputs; a refactor of the front end
+# or the library must reproduce them unchanged.
+GOLDEN = [
+    (["rate", "--config", "configs/point.ini"], "golden_rate_point.json"),
+    (["optimize", "--config", "configs/point.ini", "--mode", "vmod"], "golden_optimize_point_vmod.json"),
+    (
+        ["optimize", "--config", "configs/snr_locked.ini", "--mode", "vmod_trec_snr"],
+        "golden_optimize_snr_locked.json",
+    ),
+    (["sweep", "--config", "configs/distance_sweep.ini"], "golden_sweep_distance.csv"),
+]
+
+
+@pytest.mark.parametrize("argv, golden", GOLDEN, ids=[g for _, g in GOLDEN])
+def test_shipped_configs_match_golden_bytes(tmp_path, argv, golden):
+    argv = [str(ROOT / a) if a.startswith("configs/") else a for a in argv]
+    out = tmp_path / golden
+    assert main(argv + ["--out", str(out)]) == 0
+    assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()

@@ -70,6 +70,12 @@ class TestLinkParams:
         with pytest.raises(DomainError, match=field):
             make(**{field: value})
 
+    @pytest.mark.parametrize("field", ["v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -math.inf])
+    def test_rejects_non_finite(self, field, value):
+        with pytest.raises(DomainError, match=field):
+            make(**{field: value})
+
     def test_derived_quantities(self):
         p = make(xi_pr=0.2)
         assert p.v == 5.0

@@ -28,6 +28,7 @@ from cvrate import (
     vacuum_state,
     von_neumann_entropy,
 )
+from cvrate.gaussian import two_mode_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -77,6 +78,12 @@ class TestStateConstructors:
         m = epr_state(5.0).data
         assert np.allclose(m[:2, :2], 5.0 * np.eye(2))
         assert np.allclose(m[:2, 2:], math.sqrt(24.0) * SZ)
+
+    def test_two_mode_state_spectrum_is_two_mode_eigs(self):
+        state = two_mode_state(2.0, 3.0, 1.0)
+        assert np.array_equal(state.data, assemble_two_mode(2.0, 3.0, 1.0).data)
+        got = symplectic_eigenvalues(state)
+        assert np.allclose(got, sorted(two_mode_eigs(2.0, 3.0, 1.0), reverse=True), atol=1e-12)
 
     def test_epr_is_pure(self):
         assert np.allclose(symplectic_eigenvalues(epr_state(3.0)), [1.0, 1.0])

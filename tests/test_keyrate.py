@@ -1,4 +1,5 @@
 import itertools
+import math
 from dataclasses import replace
 
 import pytest
@@ -29,7 +30,9 @@ class TestProtocolParams:
     @pytest.mark.parametrize(
         "kwargs",
         [dict(beta=1.2), dict(beta=0.95, fer=-0.1), dict(beta=0.95, disclosed_fraction=1.0),
-         dict(beta=0.95, f_sym=0.0)],
+         dict(beta=0.95, f_sym=0.0), dict(beta=math.nan), dict(beta=0.95, fer=math.nan),
+         dict(beta=0.95, disclosed_fraction=math.nan), dict(beta=0.95, f_sym=math.nan),
+         dict(beta=0.95, f_sym=math.inf)],
     )
     def test_range_validation(self, kwargs):
         with pytest.raises(DomainError):
