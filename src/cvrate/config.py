@@ -54,6 +54,8 @@ class SweepSpec:
             raise ConfigError(
                 f"unknown sweep variable {self.variable!r}; choose one of {', '.join(SWEEP_VARIABLES)}"
             )
+        if not (math.isfinite(self.start) and math.isfinite(self.stop)):
+            raise ConfigError(f"sweep start and stop must be finite, got {self.start} and {self.stop}")
         if not self.start < self.stop:
             raise ConfigError(f"sweep needs start < stop, got {self.start} >= {self.stop}")
         if self.points < 2:
@@ -218,6 +220,12 @@ class OptimizeOptions:
     vmod_lo: float
     vmod_hi: float
     t_rec_floor: float
+
+    def __post_init__(self):
+        for key in ("snr_target", "vmod_lo", "vmod_hi", "t_rec_floor"):
+            value = getattr(self, key)
+            if value is not None and not math.isfinite(value):
+                raise ConfigError(f"optimize.{key} must be finite, got {value}")
 
 
 def optimize_from_config(cfg: configparser.ConfigParser) -> OptimizeOptions:

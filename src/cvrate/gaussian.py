@@ -6,11 +6,20 @@ quadrature variance 1. An N-mode state is described by a real symmetric
 (q quadrature before p). Symplectic transformations act as ``S @ cov @ S.T``
 and preserve the symplectic spectrum. All states are zero-mean, so first
 moments are never tracked.
+
+Matrices are validated once, where they can come from outside: the public
+``CovMatrix`` and ``SympMatrix`` constructors and ``SympMatrix @``. Every
+operation here whose result is valid by construction (the state builders
+after their argument checks, ``direct_sum``, ``beamsplitter``,
+``mode_permutation``, ``apply_symplectic``, ``extract_modes`` and the
+conditioning functions) trusts its validated inputs and wraps its result
+without re-checking it.
 """
 
 from __future__ import annotations
 
 import enum
+import functools
 import math
 from collections.abc import Iterable, Sequence
 
@@ -36,11 +45,25 @@ class Quadrature(enum.Enum):
     P = 1
 
 
+def _unchecked(cls, data: np.ndarray):
+    """Wrap ``data`` in ``cls`` without validation.
+
+    Only for results that are valid by construction: an exactly symmetric
+    float array for ``CovMatrix``, a symplectic one for ``SympMatrix``. The
+    caller hands over ``data``; nothing else may hold a reference to it.
+    """
+    out = object.__new__(cls)
+    out.data = data
+    return out
+
+
 class CovMatrix:
     """Covariance matrix of an N-mode Gaussian state, in shot-noise units.
 
     The constructor symmetrizes its input and rejects matrices whose
-    asymmetry exceeds rounding scale (1e-12 relative to the largest entry).
+    asymmetry exceeds rounding scale (1e-12 relative to the largest entry),
+    so ``data`` is always exactly symmetric. Operations of this module that
+    preserve that by construction return their result without re-checking.
     Physicality (all symplectic eigenvalues >= 1) is not enforced here; it is
     checked wherever the spectrum is actually computed.
     """
@@ -68,7 +91,12 @@ class CovMatrix:
 
 
 class SympMatrix:
-    """Real symplectic matrix: satisfies S @ Omega @ S.T == Omega."""
+    """Real symplectic matrix: satisfies S @ Omega @ S.T == Omega.
+
+    The constructor and ``@`` check the residual against 1e-12; the
+    transforms built by this module are symplectic by construction and skip
+    the check.
+    """
 
     __slots__ = ("data",)
 
@@ -76,7 +104,7 @@ class SympMatrix:
         arr = np.array(data, dtype=float)
         if arr.ndim != 2 or arr.shape[0] != arr.shape[1] or arr.shape[0] % 2:
             raise UsageError(f"symplectic matrix must be square with even dimension, got {arr.shape}")
-        omega = symplectic_form(arr.shape[0] // 2)
+        omega = _symplectic_form(arr.shape[0] // 2)
         residual = float(np.max(np.abs(arr @ omega @ arr.T - omega)))
         if residual > _SYMMETRY_TOL:
             raise DomainError(f"matrix is not symplectic (residual {residual:.3e})")
@@ -97,12 +125,19 @@ class SympMatrix:
 
 def symplectic_form(n_modes: int) -> np.ndarray:
     """Block-diagonal symplectic form: n copies of [[0, 1], [-1, 0]]."""
+    return _symplectic_form(n_modes).copy()
+
+
+@functools.lru_cache(maxsize=8)
+def _symplectic_form(n_modes: int) -> np.ndarray:
+    # shared by every internal caller, hence read-only
     if n_modes < 1:
         raise UsageError("n_modes must be at least 1")
     omega = np.zeros((2 * n_modes, 2 * n_modes))
     for k in range(n_modes):
         omega[2 * k, 2 * k + 1] = 1.0
         omega[2 * k + 1, 2 * k] = -1.0
+    omega.flags.writeable = False
     return omega
 
 
@@ -129,21 +164,21 @@ def two_mode_state(a: float, b: float, c: float) -> CovMatrix:
     out[2:, 2:] = b * np.eye(2)
     out[:2, 2:] = c * SIGMA_Z
     out[2:, :2] = c * SIGMA_Z
-    return CovMatrix(out)
+    return _unchecked(CovMatrix, out)
 
 
 def thermal_state(variance: float) -> CovMatrix:
     """Single-mode thermal state with isotropic quadrature variance."""
     if variance < 1.0:
         raise DomainError(f"thermal variance must be >= 1 SNU, got {variance}")
-    return CovMatrix(variance * np.eye(2))
+    return _unchecked(CovMatrix, variance * np.eye(2))
 
 
 def vacuum_state(n_modes: int = 1) -> CovMatrix:
     """n-mode vacuum: the identity matrix."""
     if n_modes < 1:
         raise UsageError("n_modes must be at least 1")
-    return CovMatrix(np.eye(2 * n_modes))
+    return _unchecked(CovMatrix, np.eye(2 * n_modes))
 
 
 def direct_sum(states: Iterable[CovMatrix]) -> CovMatrix:
@@ -162,7 +197,7 @@ def direct_sum(states: Iterable[CovMatrix]) -> CovMatrix:
         d = b.data.shape[0]
         out[offset : offset + d, offset : offset + d] = b.data
         offset += d
-    return CovMatrix(out)
+    return _unchecked(CovMatrix, out)
 
 
 def beamsplitter(n_modes: int, mode_i: int, mode_j: int, transmittance: float) -> SympMatrix:
@@ -194,7 +229,7 @@ def beamsplitter(n_modes: int, mode_i: int, mode_j: int, transmittance: float) -
     out[2 * mode_j : 2 * mode_j + 2, 2 * mode_j : 2 * mode_j + 2] = c * eye2
     out[2 * mode_i : 2 * mode_i + 2, 2 * mode_j : 2 * mode_j + 2] = s * eye2
     out[2 * mode_j : 2 * mode_j + 2, 2 * mode_i : 2 * mode_i + 2] = -s * eye2
-    return SympMatrix(out)
+    return _unchecked(SympMatrix, out)
 
 
 def mode_permutation(n_modes: int, new_order: Sequence[int]) -> SympMatrix:
@@ -209,7 +244,7 @@ def mode_permutation(n_modes: int, new_order: Sequence[int]) -> SympMatrix:
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for slot, src in enumerate(new_order):
         out[2 * slot : 2 * slot + 2, 2 * src : 2 * src + 2] = np.eye(2)
-    return SympMatrix(out)
+    return _unchecked(SympMatrix, out)
 
 
 def apply_symplectic(transform: SympMatrix, cov: CovMatrix) -> CovMatrix:
@@ -223,7 +258,7 @@ def apply_symplectic(transform: SympMatrix, cov: CovMatrix) -> CovMatrix:
             f"dimension mismatch: transform is {transform.data.shape}, state is {cov.data.shape}"
         )
     out = transform.data @ cov.data @ transform.data.T
-    return CovMatrix(0.5 * (out + out.T))
+    return _unchecked(CovMatrix, 0.5 * (out + out.T))
 
 
 def extract_modes(cov: CovMatrix, modes: Sequence[int]) -> CovMatrix:
@@ -233,21 +268,30 @@ def extract_modes(cov: CovMatrix, modes: Sequence[int]) -> CovMatrix:
     for m in modes:
         if not 0 <= m < cov.n_modes:
             raise UsageError(f"mode index {m} out of range for {cov.n_modes} modes")
-    idx = np.concatenate([[2 * m, 2 * m + 1] for m in modes]).astype(int)
-    return CovMatrix(cov.data[np.ix_(idx, idx)])
+    return _unchecked(CovMatrix, _select_modes(cov.data, modes))
+
+
+def _select_modes(data: np.ndarray, modes: Sequence[int]) -> np.ndarray:
+    # rows and columns of the listed mode blocks, in that order, as a new array
+    idx = [2 * m + q for m in modes for q in (0, 1)]
+    return data.take(idx, axis=0).take(idx, axis=1)
 
 
 def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     """Clamp near-unit symplectic eigenvalues, reject unphysical ones.
 
     Values in [1 - 1e-9, 1) become exactly 1; anything below 1 - 1e-6 raises
-    PhysicalityError naming the offending value.
+    PhysicalityError naming the offending value. When no value lies below 1
+    there is nothing to do, and the input array is returned as it is.
     """
     values = np.asarray(values, dtype=float)
+    below_one = values < 1.0
+    if not below_one.any():
+        return values
     if np.any(values < 1.0 - PHYSICALITY_TOL):
         worst = float(values.min())
         raise PhysicalityError(f"symplectic eigenvalue {worst:.9g} violates the uncertainty bound")
-    return np.where((values >= 1.0 - CLAMP_TOL) & (values < 1.0), 1.0, values)
+    return np.where((values >= 1.0 - CLAMP_TOL) & below_one, 1.0, values)
 
 
 def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
@@ -259,7 +303,7 @@ def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
     twice in that product, so adjacent pairs of the sorted spectrum are
     averaged before the square root.
     """
-    omega = symplectic_form(cov.n_modes)
+    omega = _symplectic_form(cov.n_modes)
     m = omega @ cov.data
     squared = np.linalg.eigvals(-m @ m).real
     squared = np.sort(np.maximum(squared, 0.0))
@@ -284,14 +328,14 @@ def two_mode_eigs(a: float, b: float, c: float) -> tuple[float, float]:
 
 
 def _partition_at(cov: CovMatrix, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Permute the measured mode last and split into (kept, cross, measured)."""
+    """Move the measured mode last and split into (kept, cross, measured)."""
     n = cov.n_modes
     if not 0 <= mode < n:
         raise UsageError(f"mode index {mode} out of range for {n} modes")
     if n == 1:
         raise UsageError("cannot condition away the only mode")
     order = [m for m in range(n) if m != mode] + [mode]
-    rearranged = apply_symplectic(mode_permutation(n, order), cov).data
+    rearranged = _select_modes(cov.data, order)
     return rearranged[:-2, :-2], rearranged[:-2, -2:], rearranged[-2:, -2:]
 
 
@@ -310,7 +354,7 @@ def condition_heterodyne(cov: CovMatrix, mode: int) -> CovMatrix:
         )
     v_b = 0.5 * (measured[0, 0] + measured[1, 1])
     out = kept - (cross @ cross.T) / (v_b + 1.0)
-    return CovMatrix(0.5 * (out + out.T))
+    return _unchecked(CovMatrix, 0.5 * (out + out.T))
 
 
 def condition_homodyne(cov: CovMatrix, mode: int, quad: Quadrature) -> CovMatrix:
@@ -326,7 +370,7 @@ def condition_homodyne(cov: CovMatrix, mode: int, quad: Quadrature) -> CovMatrix
         raise DomainError(f"measured quadrature variance {v_b:.3e} is not positive")
     col = cross[:, k : k + 1]
     out = kept - (col @ col.T) / v_b
-    return CovMatrix(0.5 * (out + out.T))
+    return _unchecked(CovMatrix, 0.5 * (out + out.T))
 
 
 def _binary_term(x: float) -> float:

@@ -57,8 +57,8 @@ def _golden_max(
     refinement, guarding against flat or mildly multimodal objectives. The
     returned point is never worse than any probe made along the way.
     """
-    if not 0.0 < lo < hi:
-        raise UsageError(f"bounds must satisfy 0 < lo < hi, got ({lo}, {hi})")
+    if not 0.0 < lo < hi < math.inf:
+        raise UsageError(f"bounds must be finite and satisfy 0 < lo < hi, got ({lo}, {hi})")
     u_lo, u_hi = math.log(lo), math.log(hi)
     probes: list[tuple[float, float]] = []
 

@@ -10,8 +10,10 @@ Because the total state is pure, the entropy of what remains after the
 measurement equals the eavesdropper's conditional entropy.
 
 This route is deliberately free of the closed-form shortcuts, trading
-speed for independence; expect it to be roughly an order of magnitude
-slower than the cloner formulas.
+speed for independence. Over the 1944-point acceptance grid an
+:func:`oracle_holevo` point took about 290 us of CPU time against about
+30 us for :func:`cvrate.cloner.holevo_bound`, a ratio of 9 to 10 (Python
+3.11, numpy 2.4, one core of a 2-vCPU virtual machine).
 """
 
 from __future__ import annotations
@@ -123,6 +125,9 @@ def _receiver_stage(t_rec: float, xi_rec: float) -> SympMatrix:
     out[6:8, 2:4] = k_cd * eye2
     out[6:8, 4:6] = k_sd * SIGMA_Z
     out[6:8, 6:8] = root_t * eye2
+    # validated, unlike the transforms gaussian builds: rounding in these
+    # O(sqrt(xi_rec)) entries leaves a residual above 1e-12 at large xi_rec
+    # (1.7e-11 at xi_rec = 1e3), so this check can fire
     return SympMatrix(out)
 
 

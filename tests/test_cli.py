@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import re
 import subprocess
 import sys
@@ -86,10 +87,23 @@ trust_cases = untrusted_all, trusted_receiver, trusted_receiver_and_preparation
 """
 
 
+ROOT = Path(__file__).resolve().parents[1]
+
+
 def write(tmp_path, name, text):
     path = tmp_path / name
     path.write_text(text)
     return str(path)
+
+
+def run_cli(*args):
+    """Run ``python -m cvrate.cli`` on this checkout's sources in a fresh
+    interpreter, so that everything it prints to stderr is captured."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    return subprocess.run(
+        [sys.executable, "-m", "cvrate.cli", *args], capture_output=True, text=True, env=env
+    )
 
 
 class TestRate:
@@ -165,11 +179,7 @@ class TestRate:
 
     def test_overflow_exits_2_without_traceback(self, tmp_path):
         cfg = write(tmp_path, "huge.ini", POINT_CONFIG.replace("v_mod = 4.0", "v_mod = 1e300"))
-        proc = subprocess.run(
-            [sys.executable, "-m", "cvrate.cli", "rate", "--config", cfg],
-            capture_output=True,
-            text=True,
-        )
+        proc = run_cli("rate", "--config", cfg)
         assert proc.returncode == 2
         assert proc.stdout == ""
         assert proc.stderr.startswith("invalid input: ")
@@ -238,6 +248,23 @@ class TestSweep:
         )
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         assert "optimize" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("line", ["start = nan", "start = -inf", "stop = nan", "stop = inf"])
+    def test_non_finite_bounds_exit_2(self, tmp_path, capsys, line):
+        key = line.split(" = ")[0]
+        cfg = write(tmp_path, "bad.ini", re.sub(rf"^{key} = .*$", line, SWEEP_CONFIG, flags=re.M))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: sweep start and stop must be finite")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_infinite_stop_prints_one_stderr_line(self, tmp_path):
+        cfg = write(tmp_path, "bad.ini", SWEEP_CONFIG.replace("stop = 50", "stop = inf"))
+        proc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"))
+        assert proc.returncode == 2
+        assert proc.stderr.startswith("configuration error: ")
+        assert proc.stderr.count("\n") == 1
 
     def test_xi_rec_sweep_finds_interior_maximum(self, tmp_path):
         cfg = write(
@@ -361,19 +388,35 @@ snr_target = 1.0
         assert main(["optimize", "--config", cfg, "--mode", "vmod_trec_snr"]) == 2
 
 
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    @pytest.mark.parametrize("key", ["snr_target", "vmod_lo", "vmod_hi", "t_rec_floor"])
+    def test_non_finite_option_exits_2(self, tmp_path, capsys, key, value):
+        text = (ROOT / "configs" / "snr_locked.ini").read_text() + f"{key} = {value}\n"
+        text = re.sub(rf"^{key} = (?!{value}).*\n", "", text, flags=re.M)
+        cfg = write(tmp_path, "bad.ini", text)
+        assert main(["optimize", "--config", cfg, "--mode", "vmod_trec_snr"]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith(f"configuration error: optimize.{key} must be finite")
+        assert captured.err.count("\n") == 1
+
+    def test_infinite_vmod_cap_prints_one_stderr_line(self, tmp_path):
+        text = (ROOT / "configs" / "snr_locked.ini").read_text().replace("vmod_hi = 1e3", "vmod_hi = inf")
+        cfg = write(tmp_path, "bad.ini", text)
+        proc = run_cli("optimize", "--config", cfg, "--mode", "vmod")
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr.startswith("configuration error: optimize.vmod_hi must be finite")
+        assert proc.stderr.count("\n") == 1
+
+
 def test_module_is_runnable_as_script(tmp_path):
     cfg = tmp_path / "point.ini"
     cfg.write_text(POINT_CONFIG)
-    proc = subprocess.run(
-        [sys.executable, "-m", "cvrate.cli", "rate", "--config", str(cfg)],
-        capture_output=True,
-        text=True,
-    )
+    proc = run_cli("rate", "--config", str(cfg))
     assert proc.returncode == 0
     assert json.loads(proc.stdout)["secret_fraction"] > 0
 
-
-ROOT = Path(__file__).resolve().parents[1]
 
 # Exact bytes of the shipped configs' outputs; a refactor of the front end
 # or the library must reproduce them unchanged.

@@ -28,7 +28,7 @@ from cvrate import (
     vacuum_state,
     von_neumann_entropy,
 )
-from cvrate.gaussian import two_mode_state
+from cvrate.gaussian import CLAMP_TOL, PHYSICALITY_TOL, clamp_spectrum, two_mode_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -135,6 +135,10 @@ class TestCovMatrixInvariants:
         with pytest.raises(DomainError):
             CovMatrix([[1.0, 0.5], [0.2, 1.0]])
 
+    def test_rejects_non_square(self):
+        with pytest.raises(UsageError):
+            CovMatrix(np.ones((2, 4)))
+
     def test_symmetrizes_rounding_noise(self):
         m = np.eye(2)
         m[0, 1] = 1e-14
@@ -144,6 +148,124 @@ class TestCovMatrixInvariants:
     def test_rejects_odd_dimension(self):
         with pytest.raises(UsageError):
             CovMatrix(np.eye(3))
+
+
+class TestSympMatrixInvariants:
+    def test_rejects_non_symplectic(self):
+        with pytest.raises(DomainError, match="not symplectic"):
+            SympMatrix(np.diag([2.0, 1.0]))
+
+    def test_rejects_odd_dimension(self):
+        with pytest.raises(UsageError):
+            SympMatrix(np.eye(3))
+
+    def test_product_is_checked(self):
+        # each factor passes within the 1e-12 residual, their product does not
+        almost = SympMatrix(np.diag([1.0 + 4e-13, 1.0, 1.0, 1.0]))
+        square = almost @ almost
+        with pytest.raises(DomainError, match="not symplectic"):
+            square @ square
+
+    def test_product_of_beamsplitters(self):
+        product = beamsplitter(3, 0, 1, 0.3) @ beamsplitter(3, 1, 2, 0.6)
+        omega = symplectic_form(3)
+        assert np.max(np.abs(product.data @ omega @ product.data.T - omega)) < 1e-12
+
+    def test_symplectic_form_is_a_fresh_writable_array(self):
+        omega = symplectic_form(2)
+        omega[0, 1] = 5.0
+        assert symplectic_form(2)[0, 1] == 1.0
+
+
+# The operations below return their results without re-validating them. That
+# is sound only while every CovMatrix they produce is exactly symmetric and
+# every SympMatrix passes the public symplecticity check.
+def _random_state(rng, n_modes):
+    parts, n = [], 0
+    while n < n_modes:
+        if n_modes - n >= 2 and rng.random() < 0.5:
+            parts.append(two_mode_state(*_two_mode_args(rng)))
+            n += 2
+        else:
+            parts.append(thermal_state(float(rng.uniform(1.0, 50.0))))
+            n += 1
+    return direct_sum(parts)
+
+
+def _two_mode_args(rng):
+    a, b = rng.uniform(1.0, 50.0, size=2)
+    return float(a), float(b), float(rng.uniform(0.0, 1.0) * math.sqrt((a - 1.0) * (b - 1.0)))
+
+
+def _assert_exact_covariance(cov, n_modes):
+    assert isinstance(cov, CovMatrix)
+    assert cov.data.shape == (2 * n_modes, 2 * n_modes)
+    assert cov.data.dtype == np.float64
+    assert np.array_equal(cov.data, cov.data.T)
+    # the public constructor leaves such a matrix bit for bit unchanged
+    assert np.array_equal(CovMatrix(cov.data).data, cov.data)
+
+
+def _assert_symplectic(transform, n_modes):
+    assert isinstance(transform, SympMatrix)
+    assert transform.data.shape == (2 * n_modes, 2 * n_modes)
+    SympMatrix(transform.data)  # raises unless the residual is below 1e-12
+
+
+class TestUncheckedResults:
+    @given(st.integers(0, 2**32 - 1), st.integers(2, 5))
+    @settings(deadline=None, max_examples=60)
+    def test_every_operation_returns_a_valid_matrix(self, seed, n):
+        rng = np.random.default_rng(seed)
+        _assert_exact_covariance(two_mode_state(*_two_mode_args(rng)), 2)
+        _assert_exact_covariance(epr_state(float(rng.uniform(1.0, 1e4))), 2)
+        _assert_exact_covariance(thermal_state(float(rng.uniform(1.0, 1e4))), 1)
+        _assert_exact_covariance(vacuum_state(n), n)
+
+        state = _random_state(rng, n)
+        _assert_exact_covariance(state, n)
+        i, j = (int(m) for m in rng.choice(n, size=2, replace=False))
+        bs = beamsplitter(n, i, j, float(rng.uniform(0.0, 1.0)))
+        _assert_symplectic(bs, n)
+        perm = mode_permutation(n, [int(m) for m in rng.permutation(n)])
+        _assert_symplectic(perm, n)
+        assert np.array_equal(perm.data @ perm.data.T, np.eye(2 * n))
+
+        state = apply_symplectic(bs, state)
+        _assert_exact_covariance(state, n)
+        state = apply_symplectic(perm, state)
+        _assert_exact_covariance(state, n)
+
+        kept = [int(m) for m in rng.choice(n, size=int(rng.integers(1, n + 1)), replace=False)]
+        _assert_exact_covariance(extract_modes(state, kept), len(kept))
+
+        measured = int(rng.integers(n))
+        _assert_exact_covariance(condition_homodyne(state, measured, Quadrature.P), n - 1)
+        # heterodyne needs an isotropic measured mode; thermal modes mixed on
+        # beamsplitters keep every 2x2 block proportional to the identity
+        iso, _ = random_state_with_spectrum(rng, n)
+        _assert_exact_covariance(condition_heterodyne(iso, measured), n - 1)
+
+    def test_conditioning_matches_the_permutation_matrix_route(self):
+        # reference: permute the measured mode last with a dense permutation
+        # matrix, then apply the conditioning formulas to the blocks
+        rng = np.random.default_rng(7)
+        state = _random_state(rng, 4)
+        iso, _ = random_state_with_spectrum(rng, 4)
+        for mode in range(4):
+            order = [m for m in range(4) if m != mode] + [mode]
+            perm = mode_permutation(4, order).data
+            for quad in Quadrature:
+                moved = perm @ state.data @ perm.T
+                col = moved[:-2, -2:][:, quad.value : quad.value + 1]
+                out = moved[:-2, :-2] - (col @ col.T) / moved[-2 + quad.value, -2 + quad.value]
+                got = condition_homodyne(state, mode, quad).data
+                assert np.array_equal(got, 0.5 * (out + out.T))
+            moved = perm @ iso.data @ perm.T
+            cross = moved[:-2, -2:]
+            v_b = 0.5 * (moved[-2, -2] + moved[-1, -1])
+            out = moved[:-2, :-2] - (cross @ cross.T) / (v_b + 1.0)
+            assert np.array_equal(condition_heterodyne(iso, mode).data, 0.5 * (out + out.T))
 
 
 class TestBeamsplitter:
@@ -239,6 +361,35 @@ class TestSymplecticEigenvalues:
     def test_unphysical_state_rejected_with_value(self):
         with pytest.raises(PhysicalityError, match="0.5"):
             symplectic_eigenvalues(CovMatrix(0.5 * np.eye(2)))
+
+
+def reference_clamp(values):
+    values = np.asarray(values, dtype=float)
+    if np.any(values < 1.0 - PHYSICALITY_TOL):
+        raise PhysicalityError("unphysical")
+    return np.where((values >= 1.0 - CLAMP_TOL) & (values < 1.0), 1.0, values)
+
+
+class TestClampSpectrum:
+    near_one = st.sampled_from([1.0, 1.0 - 1e-12, 1.0 - CLAMP_TOL, 1.0 - 2e-9, 1.0 - PHYSICALITY_TOL,
+                                1.0 - 2e-6, 1.0 + 1e-15, math.nan, math.inf])
+
+    @given(st.lists(st.one_of(near_one, st.floats(allow_nan=True, allow_infinity=True)), max_size=6))
+    def test_matches_the_masked_rewrite_on_every_input(self, values):
+        try:
+            expected = reference_clamp(values)
+        except PhysicalityError:
+            with pytest.raises(PhysicalityError):
+                clamp_spectrum(values)
+            return
+        got = clamp_spectrum(values)
+        assert got.shape == expected.shape
+        assert np.array_equal(got, expected, equal_nan=True)
+
+    def test_snaps_and_rejects(self):
+        assert np.array_equal(clamp_spectrum([2.0, 1.0 - 1e-10]), [2.0, 1.0])
+        with pytest.raises(PhysicalityError):
+            clamp_spectrum([2.0, 0.9])
 
 
 class TestTwoModeEigs:

@@ -1,4 +1,5 @@
 import math
+import warnings
 from dataclasses import replace
 
 import numpy as np
@@ -49,6 +50,13 @@ class TestOptimizeVmod:
     def test_invalid_bounds(self):
         with pytest.raises(UsageError):
             optimize_vmod(make(), PROTO, bounds=(1.0, 0.5))
+
+    @pytest.mark.parametrize("bounds", [(1e-3, math.inf), (1e-3, math.nan), (math.nan, 1e3)])
+    def test_non_finite_bounds_rejected_before_any_probe(self, bounds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy RuntimeWarning would fail the test
+            with pytest.raises(UsageError):
+                optimize_vmod(make(), PROTO, bounds=bounds)
 
     def test_matches_log_grid_scan(self):
         rng = np.random.default_rng(20260808)

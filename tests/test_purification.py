@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 
 from cvrate import (
     Detection,
+    DomainError,
     LinkParams,
     Quadrature,
     Trust,
@@ -143,6 +144,14 @@ class TestConditionalEntropy:
 
 
 class TestOracleHolevo:
+    @pytest.mark.parametrize("detection", list(Detection))
+    def test_receiver_stage_is_still_checked(self, detection):
+        # the hand-derived receiver transform loses symplecticity beyond 1e-12
+        # at this noise level; the check must keep rejecting it
+        p = make(xi_rec=1e3, detection=detection)
+        with pytest.raises(DomainError, match="not symplectic"):
+            oracle_holevo(p)
+
     def test_agreement_with_closed_forms(self):
         for p in MINI_GRID:
             _, chi = holevo_bound(p)
