@@ -7,19 +7,18 @@ Subcommands:
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid physics or configuration,
 3 unreachable optimization constraint. Sweep rows are evaluated
-independently (optionally in parallel with --jobs) but always written in
-sweep order, so identical configs produce byte-identical files.
+independently and written in sweep order, so identical configs produce
+byte-identical files. ``sweep --jobs N`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import sys
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
-from functools import partial
 
 import numpy as np
 
@@ -160,24 +159,16 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         grid = np.linspace(spec.start, spec.stop, spec.points).tolist()
 
-    links = []
+    rows = []
     for value in grid:
         change = {"t_ch": fiber.t_ch(value)} if spec.variable == "distance_km" else {spec.variable: value}
-        links.extend(replace(base, trust=trust, **change) for trust in spec.trust_cases)
-
-    solve = partial(_solve_row, proto=proto, optimize=spec.optimize_vmod)
-    jobs = max(1, args.jobs)
-    if jobs > 1:
-        with ProcessPoolExecutor(max_workers=jobs) as pool:
-            cells = list(pool.map(solve, links, chunksize=max(1, len(links) // (4 * jobs))))
-    else:
-        cells = [solve(link) for link in links]
-
-    values = [value for value in grid for _ in spec.trust_cases]
+        for trust in spec.trust_cases:
+            link = replace(base, trust=trust, **change)
+            rows.append([spec.variable, _fmt(value), *_solve_row(link, proto, spec.optimize_vmod)])
     with open(args.out, "w", newline="") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(CSV_COLUMNS)
-        writer.writerows([spec.variable, _fmt(value), *row] for value, row in zip(values, cells))
+        writer.writerows(rows)
     return 0
 
 
@@ -235,7 +226,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="sweep one variable over a grid (CSV)")
     common(p_sweep)
     p_sweep.add_argument("--out", required=True, help="CSV output path")
-    p_sweep.add_argument("--jobs", type=int, default=1, help="parallel worker processes")
+    p_sweep.add_argument("--jobs", type=int, default=1, help="ignored; rows run in this process")
     p_sweep.set_defaults(func=cmd_sweep)
 
     p_opt = sub.add_parser("optimize", help="maximize the secret fraction (JSON report)")
@@ -251,8 +242,15 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: argparse set-up costs about as much as a
+    # hundred closed-form evaluations, and parse_args leaves it unchanged
+    return build_parser()
+
+
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    args = _parser().parse_args(argv)
     try:
         return args.func(args)
     except ConfigError as exc:

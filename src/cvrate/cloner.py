@@ -9,6 +9,11 @@ output come out as ``xi`` exactly. Trusted devices are excluded from the
 eavesdropper's side of the bookkeeping but still shape the receiver's
 measurement statistics.
 
+Each closed form is written once, on plain floats: ``_noise_model``, ``_fold``
+(the untrusted receiver fold), ``_pre_pair``, ``_het_pair`` and ``_hom_pair``,
+combined by ``_holevo``. The public functions pass a ``LinkParams`` through
+``_args``; optimizer probes call ``_holevo`` with no ``LinkParams`` or array.
+
 Everything here is a pure function of its inputs and safe to call
 concurrently.
 """
@@ -18,8 +23,6 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass, replace
-
-import numpy as np
 
 from .errors import DomainError, PhysicalityError, UsageError
 from .gaussian import (
@@ -44,6 +47,11 @@ _MIN_OPEN_PORT = 1e-12
 _MAX_W_CH = 1e4
 
 
+def _xi_tot(t_ch: float, xi_ch: float, t_rec: float, xi_rec: float, xi_pr: float) -> float:
+    # LinkParams.xi_tot on floats
+    return t_ch * t_rec * xi_pr + t_rec * xi_ch + xi_rec
+
+
 def _clamped_t(t: float, xi: float) -> float:
     # a noisy source needs a non-unit beamsplitter; the clamped value is used
     # consistently in W, the propagation and the closed forms
@@ -55,6 +63,9 @@ class Detection(enum.Enum):
 
     HOMODYNE = "homodyne"
     HETERODYNE = "heterodyne"
+
+    def __init__(self, value: str):
+        self.mu = 2.0 if value == "heterodyne" else 1.0  # measured quadratures
 
 
 class Trust(enum.Enum):
@@ -119,12 +130,12 @@ class LinkParams:
     @property
     def xi_tot(self) -> float:
         """Total excess noise in the receiver's measurement, in SNU."""
-        return self.t_tot * self.xi_pr + self.t_rec * self.xi_ch + self.xi_rec
+        return _xi_tot(self.t_ch, self.xi_ch, self.t_rec, self.xi_rec, self.xi_pr)
 
     @property
     def mu(self) -> float:
         """Number of measured quadratures: 1 for homodyne, 2 for heterodyne."""
-        return 2.0 if self.detection is Detection.HETERODYNE else 1.0
+        return self.detection.mu
 
 
 @dataclass(frozen=True)
@@ -141,15 +152,20 @@ class EntropyPair:
     nu_post: tuple[float, float]
 
 
+def _effective(v_mod: float, t_ch: float, xi_ch: float, xi_pr: float, trust: Trust) -> tuple[float, float]:
+    # (V, xi_ch) with the preparation noise attributed; see effective_v and effective_xi_ch
+    if xi_pr > 0.0 and trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION:
+        return v_mod + 1.0 + xi_pr, xi_ch
+    return v_mod + 1.0, (xi_ch + t_ch * xi_pr if xi_pr > 0.0 else xi_ch)
+
+
 def effective_v(params: LinkParams) -> float:
     """EPR variance fed to the eavesdropper-side formulas.
 
     Trusted preparation noise is handled by substituting V -> V + xi_pr;
     in every other case the bare V = v_mod + 1 is used.
     """
-    if params.trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION and params.xi_pr > 0.0:
-        return params.v + params.xi_pr
-    return params.v
+    return _effective(params.v_mod, params.t_ch, params.xi_ch, params.xi_pr, params.trust)[0]
 
 
 def effective_xi_ch(params: LinkParams) -> float:
@@ -159,9 +175,7 @@ def effective_xi_ch(params: LinkParams) -> float:
     it is folded in as xi_ch + t_ch * xi_pr; trusted preparation noise is
     accounted for by the V -> V + xi_pr substitution instead.
     """
-    if params.trust is not Trust.TRUSTED_RECEIVER_AND_PREPARATION and params.xi_pr > 0.0:
-        return params.xi_ch + params.t_ch * params.xi_pr
-    return params.xi_ch
+    return _effective(params.v_mod, params.t_ch, params.xi_ch, params.xi_pr, params.trust)[1]
 
 
 def noise_source_variances(params: LinkParams) -> tuple[float, float]:
@@ -176,13 +190,24 @@ def noise_source_variances(params: LinkParams) -> tuple[float, float]:
     return _model(params)[3:5]
 
 
+def _args(params: LinkParams) -> tuple:
+    # a link as the float functions take it (each ignores what it does not need)
+    return (params.v_mod, params.t_ch, params.xi_ch, params.t_rec, params.xi_rec, params.xi_pr,
+            params.detection, params.trust)
+
+
 def _model(params: LinkParams) -> tuple[float, float, float, float, float, float]:
     """Quantities the noise model is built from, with transmittances clamped
     consistently: (V, t_ch, t_rec, W_ch, W_rec, V_B)."""
-    xi_ch = effective_xi_ch(params)
-    t_ch = _clamped_t(params.t_ch, xi_ch)
-    t_rec = _clamped_t(params.t_rec, params.xi_rec)
-    v = effective_v(params)
+    return _noise_model(*_args(params))[:6]
+
+
+def _noise_model(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float,
+                 xi_pr: float, detection: Detection, trust: Trust) -> tuple[float, ...]:
+    # _model's quantities, and the channel noise attributed to the eavesdropper
+    v, xi_ch = _effective(v_mod, t_ch, xi_ch, xi_pr, trust)
+    t_ch_given, t_ch = t_ch, _clamped_t(t_ch, xi_ch)
+    t_rec = _clamped_t(t_rec, xi_rec)
     w_ch = 1.0 if xi_ch == 0.0 else 1.0 + xi_ch / (1.0 - t_ch)
     if w_ch > _MAX_W_CH:
         # the conditional-spectrum formulas cancel W_ch^2-sized terms down to
@@ -190,18 +215,27 @@ def _model(params: LinkParams) -> tuple[float, float, float, float, float, float
         # precision (the receiver-side W_rec only ever enters linearly and has
         # no such limit)
         raise DomainError(
-            f"channel noise {xi_ch:g} at t_ch = {params.t_ch:g} implies a noise-source "
+            f"channel noise {xi_ch:g} at t_ch = {t_ch_given:g} implies a noise-source "
             f"variance of {w_ch:.3g} SNU, beyond the supported {_MAX_W_CH:g}; "
             "lower t_ch or the noise attributed to the channel"
         )
-    w_rec = 1.0 if params.xi_rec == 0.0 else 1.0 + params.xi_rec / (1.0 - t_rec)
-    v_b = t_ch * t_rec * (v - 1.0) + 1.0 + t_rec * xi_ch + params.xi_rec
-    return v, t_ch, t_rec, w_ch, w_rec, v_b
+    w_rec = 1.0 if xi_rec == 0.0 else 1.0 + xi_rec / (1.0 - t_rec)
+    v_b = t_ch * t_rec * (v - 1.0) + 1.0 + t_rec * xi_ch + xi_rec
+    return v, t_ch, t_rec, w_ch, w_rec, v_b, xi_ch
 
 
 def bob_variance(params: LinkParams) -> float:
     """Receiver quadrature variance T_tot (V - 1) + 1 + xi_tot (same for q and p)."""
     return _model(params)[5]
+
+
+def _fold(v_mod: float, t_tot: float, xi_tot: float, detection: Detection) -> tuple:
+    # _args of the receiver-folded link, all but v_mod
+    if not (t_tot > 0.0 and xi_tot < math.inf):
+        # the folded link leaves the parameter domain: LinkParams names the value
+        LinkParams(v_mod=v_mod, t_ch=t_tot, xi_ch=xi_tot, t_rec=1.0, xi_rec=0.0,
+                   detection=detection, trust=Trust.TRUSTED_RECEIVER)
+    return t_tot, xi_tot, 1.0, 0.0, 0.0, detection, Trust.TRUSTED_RECEIVER
 
 
 def receiver_folded(params: LinkParams) -> LinkParams:
@@ -211,15 +245,9 @@ def receiver_folded(params: LinkParams) -> LinkParams:
     loss and noise; the model collapses to a single effective channel
     followed by an ideal receiver.
     """
-    return replace(
-        params,
-        t_ch=params.t_tot,
-        xi_ch=params.xi_tot,
-        t_rec=1.0,
-        xi_rec=0.0,
-        xi_pr=0.0,
-        trust=Trust.TRUSTED_RECEIVER,
-    )
+    t_ch, xi_ch, t_rec, xi_rec, xi_pr, _, trust = _fold(params.v_mod, params.t_tot, params.xi_tot,
+                                                       params.detection)
+    return replace(params, t_ch=t_ch, xi_ch=xi_ch, t_rec=t_rec, xi_rec=xi_rec, xi_pr=xi_pr, trust=trust)
 
 
 def assemble_and_propagate(params: LinkParams) -> CovMatrix:
@@ -251,16 +279,15 @@ def eve_state(params: LinkParams) -> CovMatrix:
     return two_mode_state((1.0 - t_ch) * v + t_ch * w_ch, w_ch, c)
 
 
-def eve_conditional_het(params: LinkParams) -> tuple[float, float]:
-    """Eavesdropper symplectic eigenvalues after a heterodyne measurement.
+def _clamped(a: float, b: float) -> tuple[float, float]:
+    # clamp_spectrum holds the policy; a pair at or above 1 needs none of it
+    if a < 1.0 or b < 1.0:
+        return tuple(clamp_spectrum((a, b)).tolist())
+    return a, b
 
-    Treats the channel/receiver split as given; fold the receiver into the
-    channel first (``receiver_folded``) for fully untrusted bookkeeping.
-    """
-    if params.detection is not Detection.HETERODYNE:
-        raise UsageError("link is configured for homodyne detection; use eve_conditional_hom")
-    v, t_ch, t_rec, w_ch, w_rec, v_b = _model(params)
 
+def _het_pair(model: tuple[float, ...]) -> tuple[float, float]:
+    v, t_ch, t_rec, w_ch, w_rec, v_b, _ = model
     e1 = v * ((1.0 - t_rec) * w_rec + t_rec * w_ch + 1.0) + t_ch * (w_ch - v) * (
         1.0 + (1.0 - t_rec) * w_rec
     )
@@ -273,21 +300,11 @@ def eve_conditional_het(params: LinkParams) -> tuple[float, float]:
     z = math.sqrt(disc)
     nu3 = (z + (e3 - e1)) / (2.0 * (v_b + 1.0))
     nu4 = (z - (e3 - e1)) / (2.0 * (v_b + 1.0))
-    pair = clamp_spectrum(np.array([nu3, nu4]))
-    return float(pair[0]), float(pair[1])
+    return _clamped(nu3, nu4)
 
 
-def eve_conditional_hom(params: LinkParams) -> tuple[float, float]:
-    """Eavesdropper symplectic eigenvalues after a homodyne measurement.
-
-    The conditioned 4x4 state is anisotropic, but squaring its spectral
-    matrix and regrouping rows reduces the problem to one 2x2 block whose
-    eigenvalues are the squared symplectic eigenvalues. q- and p-measurement
-    give the same spectrum.
-    """
-    if params.detection is not Detection.HOMODYNE:
-        raise UsageError("link is configured for heterodyne detection; use eve_conditional_het")
-    v, t_ch, t_rec, w_ch, w_rec, v_b = _model(params)
+def _hom_pair(model: tuple[float, ...]) -> tuple[float, float]:
+    v, t_ch, t_rec, w_ch, w_rec, v_b, _ = model
     cross = math.sqrt(t_ch * (w_ch * w_ch - 1.0))
     reflected = t_rec * v + (1.0 - t_rec) * w_rec
 
@@ -313,32 +330,68 @@ def eve_conditional_hom(params: LinkParams) -> tuple[float, float]:
         if sq < -1e-12:
             raise PhysicalityError(f"conditional spectrum has negative radicand {sq:.3e}")
         nus.append(math.sqrt(max(sq, 0.0)))
-    pair = clamp_spectrum(np.array(nus))
-    return float(pair[0]), float(pair[1])
+    return _clamped(nus[0], nus[1])
 
 
-def _conditional_pair(params: LinkParams) -> tuple[float, float]:
-    if params.detection is Detection.HETERODYNE:
-        return eve_conditional_het(params)
-    return eve_conditional_hom(params)
+def eve_conditional_het(params: LinkParams) -> tuple[float, float]:
+    """Eavesdropper symplectic eigenvalues after a heterodyne measurement.
 
-
-def _eve_premeasurement_pair(params: LinkParams) -> tuple[float, float]:
-    """Symplectic eigenvalues of the eavesdropper's two-mode state.
-
-    Same spectrum as two_mode_eigs on the eve_state entries, but with the
-    discriminant expanded into the cancellation-free form
-    ``(xV)^2 + 2(2-x)V s + s^2 + 4(1-x)`` where ``x = 1 - t_ch`` and
-    ``s = xi_ch + x = x W_ch``, so the pair stays accurate even when the
-    source variance W_ch is many orders of magnitude above shot noise.
+    Treats the channel/receiver split as given; fold the receiver into the
+    channel first (``receiver_folded``) for fully untrusted bookkeeping.
     """
-    v, t_ch, _, _, _, _ = _model(params)
+    if params.detection is not Detection.HETERODYNE:
+        raise UsageError("link is configured for homodyne detection; use eve_conditional_hom")
+    return _het_pair(_noise_model(*_args(params)))
+
+
+def eve_conditional_hom(params: LinkParams) -> tuple[float, float]:
+    """Eavesdropper symplectic eigenvalues after a homodyne measurement.
+
+    The conditioned 4x4 state is anisotropic, but squaring its spectral
+    matrix and regrouping rows reduces the problem to one 2x2 block whose
+    eigenvalues are the squared symplectic eigenvalues. q- and p-measurement
+    give the same spectrum.
+    """
+    if params.detection is not Detection.HOMODYNE:
+        raise UsageError("link is configured for heterodyne detection; use eve_conditional_het")
+    return _hom_pair(_noise_model(*_args(params)))
+
+
+def _pre_pair(model: tuple[float, ...]) -> tuple[float, float]:
+    # two_mode_eigs of the eve_state entries, with the discriminant expanded
+    # into a form free of cancellation, (xV)^2 + 2(2-x)V s + s^2 + 4(1-x) with
+    # x = 1 - t_ch and s = xi_ch + x = x W_ch, so the pair stays accurate even
+    # when W_ch is many orders of magnitude above shot noise
+    v, t_ch, _, _, _, _, xi_ch = model
     x = 1.0 - t_ch
-    s = effective_xi_ch(params) + x
+    s = xi_ch + x
     z = math.sqrt((x * v) ** 2 + 2.0 * (2.0 - x) * v * s + s * s + 4.0 * (1.0 - x))
     d = s - x * v  # difference of the diagonal entries
-    pair = clamp_spectrum(np.array([0.5 * (z + d), 0.5 * (z - d)]))
-    return float(pair[0]), float(pair[1])
+    return _clamped(0.5 * (z + d), 0.5 * (z - d))
+
+
+def _holevo(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float, xi_pr: float,
+            detection: Detection, trust: Trust) -> tuple:
+    # holevo_bound on floats: (S_E, S_E|B, nu_pre, nu_post, chi)
+    if trust is Trust.UNTRUSTED_ALL:
+        v = v_mod + 1.0
+        t_tot, xi_tot = t_ch * t_rec, _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr)
+        pre = two_mode_eigs(v, t_tot * (v - 1.0) + 1.0 + xi_tot, math.sqrt(t_tot * (v * v - 1.0)))
+        model = _noise_model(v_mod, *_fold(v_mod, t_tot, xi_tot, detection))
+    else:
+        model = _noise_model(v_mod, t_ch, xi_ch, t_rec, xi_rec, xi_pr, detection, trust)
+        pre = _pre_pair(model)
+    post = _het_pair(model) if detection is Detection.HETERODYNE else _hom_pair(model)
+
+    # the same order sorted(..., reverse=True) gives, NaN included
+    nu_pre = (pre[1], pre[0]) if pre[0] < pre[1] else pre
+    nu_post = (post[1], post[0]) if post[0] < post[1] else post
+    s_e = von_neumann_entropy(nu_pre)
+    s_e_given_b = von_neumann_entropy(nu_post)
+    chi = s_e - s_e_given_b
+    if chi < -1e-9:
+        raise PhysicalityError(f"Holevo bound came out negative ({chi:.3e})")
+    return s_e, s_e_given_b, nu_pre, nu_post, max(chi, 0.0)
 
 
 def holevo_bound(params: LinkParams) -> tuple[EntropyPair, float]:
@@ -349,22 +402,5 @@ def holevo_bound(params: LinkParams) -> tuple[EntropyPair, float]:
     the pre-measurement pair comes from the end-to-end two-mode state and
     the conditional pair from the receiver-folded link.
     """
-    if params.trust is Trust.UNTRUSTED_ALL:
-        v = params.v
-        b = params.t_tot * (v - 1.0) + 1.0 + params.xi_tot
-        c = math.sqrt(params.t_tot * (v * v - 1.0))
-        pre = two_mode_eigs(v, b, c)
-        effective = receiver_folded(params)
-    else:
-        pre = _eve_premeasurement_pair(params)
-        effective = params
-
-    nu_pre = tuple(sorted(pre, reverse=True))
-    nu_post = tuple(sorted(_conditional_pair(effective), reverse=True))
-    s_e = von_neumann_entropy(nu_pre)
-    s_e_given_b = von_neumann_entropy(nu_post)
-    chi = s_e - s_e_given_b
-    if chi < -1e-9:
-        raise PhysicalityError(f"Holevo bound came out negative ({chi:.3e})")
-    pair = EntropyPair(s_e=s_e, s_e_given_b=s_e_given_b, nu_pre=nu_pre, nu_post=nu_post)
-    return pair, max(chi, 0.0)
+    *entropies, chi = _holevo(*_args(params))
+    return EntropyPair(*entropies), chi

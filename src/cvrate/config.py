@@ -226,6 +226,8 @@ class OptimizeOptions:
             value = getattr(self, key)
             if value is not None and not math.isfinite(value):
                 raise ConfigError(f"optimize.{key} must be finite, got {value}")
+        if not 0.0 < self.t_rec_floor <= 1.0:
+            raise ConfigError(f"optimize.t_rec_floor must lie in (0, 1], got {self.t_rec_floor}")
 
 
 def optimize_from_config(cfg: configparser.ConfigParser) -> OptimizeOptions:

@@ -283,15 +283,16 @@ def clamp_spectrum(values: np.ndarray) -> np.ndarray:
     Values in [1 - 1e-9, 1) become exactly 1; anything below 1 - 1e-6 raises
     PhysicalityError naming the offending value. When no value lies below 1
     there is nothing to do, and the input array is returned as it is.
+    Spectra are a few values long, so the rest runs on Python floats.
     """
     values = np.asarray(values, dtype=float)
-    below_one = values < 1.0
-    if not below_one.any():
+    if not (values < 1.0).any():
         return values
-    if np.any(values < 1.0 - PHYSICALITY_TOL):
+    floats = values.ravel().tolist()
+    if any(nu < 1.0 - PHYSICALITY_TOL for nu in floats):
         worst = float(values.min())
         raise PhysicalityError(f"symplectic eigenvalue {worst:.9g} violates the uncertainty bound")
-    return np.where((values >= 1.0 - CLAMP_TOL) & below_one, 1.0, values)
+    return np.array([1.0 if 1.0 - CLAMP_TOL <= nu < 1.0 else nu for nu in floats]).reshape(values.shape)
 
 
 def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
@@ -317,13 +318,15 @@ def two_mode_eigs(a: float, b: float, c: float) -> tuple[float, float]:
     Returns ``(z + (b - a)) / 2`` and ``(z - (b - a)) / 2`` with
     ``z = sqrt((a + b)**2 - 4 c**2)``; agrees with the generic solver on the
     assembled 4x4 matrix. The same clamping policy as the generic solver is
-    applied to the results.
+    applied to the results; a pair at or above 1 skips it.
     """
     disc = (a + b) ** 2 - 4.0 * c * c
     if disc < 0.0:
         raise DomainError(f"negative discriminant {disc:.3e} for a={a}, b={b}, c={c}")
     z = math.sqrt(disc)
-    nu1, nu2 = clamp_spectrum(np.array([0.5 * (z + (b - a)), 0.5 * (z - (b - a))]))
+    nu1, nu2 = 0.5 * (z + (b - a)), 0.5 * (z - (b - a))
+    if nu1 < 1.0 or nu2 < 1.0:
+        nu1, nu2 = clamp_spectrum((nu1, nu2))
     return float(nu1), float(nu2)
 
 
@@ -373,11 +376,6 @@ def condition_homodyne(cov: CovMatrix, mode: int, quad: Quadrature) -> CovMatrix
     return _unchecked(CovMatrix, 0.5 * (out + out.T))
 
 
-def _binary_term(x: float) -> float:
-    # x * log2(x) with the continuous limit 0 at x = 0
-    return x * math.log2(x) if x > 0.0 else 0.0
-
-
 def von_neumann_entropy(eigs: Iterable[float]) -> float:
     """Entropy in bits of a Gaussian state from its symplectic spectrum.
 
@@ -390,7 +388,10 @@ def von_neumann_entropy(eigs: Iterable[float]) -> float:
     for nu in eigs:
         if nu < 1.0 - CLAMP_TOL:
             raise DomainError(f"symplectic eigenvalue {nu} is below 1")
-        total += _binary_term((nu + 1.0) / 2.0)
+        # x * log2(x), with the continuous limit 0 at x = 0
+        x = (nu + 1.0) / 2.0
+        total += x * math.log2(x) if x > 0.0 else 0.0
         if nu - 1.0 >= 1e-12:
-            total -= _binary_term((nu - 1.0) / 2.0)
+            x = (nu - 1.0) / 2.0
+            total -= x * math.log2(x) if x > 0.0 else 0.0
     return total

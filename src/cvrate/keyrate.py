@@ -10,7 +10,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cloner import LinkParams, holevo_bound
+from .cloner import Detection, LinkParams, Trust, _args, _holevo, _xi_tot, holevo_bound
 from .errors import DomainError
 
 
@@ -63,6 +63,14 @@ class RateResult:
     eigs: tuple[float, float, float, float]
 
 
+def _information(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float,
+                 xi_pr: float, detection: Detection, trust: Trust) -> tuple[float, float]:
+    # (SNR, I_AB) on floats, for a link as cloner._args gives it
+    mu = detection.mu
+    snr_value = t_ch * t_rec * v_mod / (mu + _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr))
+    return snr_value, 0.5 * mu * math.log2(1.0 + snr_value)
+
+
 def snr(params: LinkParams) -> float:
     """Signal-to-noise ratio of the receiver's measurement.
 
@@ -70,13 +78,18 @@ def snr(params: LinkParams) -> float:
     quadratures, which shows up as one extra shot-noise unit in the
     denominator.
     """
-    return params.t_tot * params.v_mod / (params.mu + params.xi_tot)
+    return _information(*_args(params))[0]
 
 
 def mutual_information(params: LinkParams) -> float:
     """Mutual information of transmitter and receiver in bits/symbol,
     ``mu/2 * log2(1 + SNR)``."""
-    return 0.5 * params.mu * math.log2(1.0 + snr(params))
+    return _information(*_args(params))[1]
+
+
+def _secret_fraction(beta: float, *link) -> float:
+    # the optimizer's probe: evaluate(...).secret_fraction on floats, bit for bit
+    return beta * _information(*link)[1] - _holevo(*link)[-1]
 
 
 def evaluate(params: LinkParams, proto: ProtocolParams) -> RateResult:
@@ -87,7 +100,7 @@ def evaluate(params: LinkParams, proto: ProtocolParams) -> RateResult:
     ``f_sym * (1 - fer) * (1 - disclosed_fraction) * max(secret_fraction, 0)``.
     """
     pair, chi = holevo_bound(params)
-    i_ab = mutual_information(params)
+    snr_value, i_ab = _information(*_args(params))
     secret = proto.beta * i_ab - chi
     if proto.f_sym is None:
         key_rate = None
@@ -96,7 +109,7 @@ def evaluate(params: LinkParams, proto: ProtocolParams) -> RateResult:
     else:
         key_rate = 0.0
     return RateResult(
-        snr=snr(params),
+        snr=snr_value,
         i_ab=i_ab,
         chi_eb=chi,
         secret_fraction=secret,

@@ -5,6 +5,10 @@ the search variable after a coarse log-spaced bracket, which copes with the
 extremely flat optima that show up at long distances. Ties within 1e-10 of
 the maximum resolve to the least aggressive operating point: the smallest
 modulation variance, or the largest receiver transmittance.
+
+A probe is ``keyrate._secret_fraction`` on plain floats, bit for bit
+``evaluate(...).secret_fraction`` without a ``LinkParams``, ``RateResult`` or
+numpy array; only a search's optimum goes through ``evaluate``.
 """
 
 from __future__ import annotations
@@ -15,9 +19,9 @@ from typing import Callable
 
 import numpy as np
 
-from .cloner import LinkParams, Trust
+from .cloner import Detection, LinkParams, Trust, _args, _xi_tot
 from .errors import ConstraintError, DomainError, UsageError
-from .keyrate import ProtocolParams, RateResult, evaluate, snr
+from .keyrate import ProtocolParams, RateResult, _secret_fraction, evaluate, snr
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-10
@@ -119,8 +123,10 @@ def optimize_vmod(
     if not 0.0 < lo < hi:
         raise UsageError(f"v_mod bounds must satisfy 0 < lo < hi, got {bounds}")
 
+    link = _args(params)[1:]
+
     def objective(v: float) -> float:
-        return evaluate(replace(params, v_mod=v), proto).secret_fraction
+        return _secret_fraction(proto.beta, v, *link)
 
     v_star, boundary = _golden_max(objective, lo, hi, rel_tol=1e-6, prefer_high=False)
     return VmodOptimum(
@@ -138,7 +144,12 @@ def vmod_for_snr(params: LinkParams, snr_target: float) -> float:
     """
     if snr_target < 0.0:
         raise DomainError(f"snr_target must be >= 0, got {snr_target}")
-    return snr_target * (params.mu + params.xi_tot) / params.t_tot
+    return _vmod_for_snr(snr_target, *_args(params)[1:7])
+
+
+def _vmod_for_snr(snr_target: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float,
+                  xi_pr: float, detection: Detection) -> float:
+    return snr_target * (detection.mu + _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr)) / (t_ch * t_rec)
 
 
 def optimize_vmod_trec_snr_locked(
@@ -157,6 +168,8 @@ def optimize_vmod_trec_snr_locked(
     only makes sense when the receiver is trusted.
 
     Raises:
+        DomainError: for an untrusted receiver, a non-positive target, or a
+            ``t_rec_floor`` outside (0, 1].
         ConstraintError: when even the calibrated receiver needs a modulation
             variance above ``vmod_max`` to reach the target.
     """
@@ -164,10 +177,13 @@ def optimize_vmod_trec_snr_locked(
         raise DomainError("SNR-locked receiver detuning requires a trusted receiver")
     if snr_target <= 0.0:
         raise DomainError(f"snr_target must be positive, got {snr_target}")
-    t_cal = params.t_rec
+    if not 0.0 < t_rec_floor <= 1.0:
+        raise DomainError(f"t_rec_floor must lie in (0, 1], got {t_rec_floor}")
+    _, t_ch, xi_ch, t_cal, xi_rec, xi_pr, detection, trust = _args(params)
 
+    # every probe lies in [floor, t_cal], inside (0, 1]
     def implied_vmod(t: float) -> float:
-        return vmod_for_snr(replace(params, t_rec=t), snr_target)
+        return _vmod_for_snr(snr_target, t_ch, xi_ch, t, xi_rec, xi_pr, detection)
 
     if implied_vmod(t_cal) > vmod_max:
         raise ConstraintError(
@@ -191,8 +207,8 @@ def optimize_vmod_trec_snr_locked(
         floor = t_cal * (1.0 - 1e-9)
 
     def objective(t: float) -> float:
-        q = replace(params, t_rec=t, v_mod=implied_vmod(t))
-        return evaluate(q, proto).secret_fraction
+        return _secret_fraction(proto.beta, implied_vmod(t), t_ch, xi_ch, t, xi_rec, xi_pr,
+                                detection, trust)
 
     t_star, boundary = _golden_max(objective, floor, t_cal, rel_tol=1e-6, prefer_high=True)
     v_star = implied_vmod(t_star)

@@ -367,3 +367,56 @@ def test_oracle_matches_golden_values():
         p = GRID[row["grid_index"]]
         assert repr(float(oracle_holevo(p))) == row["oracle_holevo"], p
         assert repr(float(oracle_conditional_entropy(p))) == row["oracle_conditional_entropy"], p
+
+
+def _result_reprs(res):
+    return {"snr": repr(res.snr), "i_ab": repr(res.i_ab), "chi_eb": repr(res.chi_eb),
+            "secret_fraction": repr(res.secret_fraction), "key_rate": repr(res.key_rate),
+            "eigs": [repr(x) for x in res.eigs]}
+
+
+def _golden_link(row):
+    link = dict(row["link"])
+    link["detection"] = Detection(link["detection"])
+    link["trust"] = Trust(link["trust"])
+    return LinkParams(**link)
+
+
+def test_closed_forms_and_optimizers_match_golden_values(monkeypatch):
+    # Exact evaluate and optimizer outputs, and each search's probe count,
+    # captured before the optimizer's probes moved onto plain floats. The
+    # probe sequence fixes the printed optimum, so both must stay unchanged.
+    from cvrate import optimize as optimize_module
+
+    probes = [0]
+    probe = optimize_module._secret_fraction
+
+    def counted(*args):
+        probes[0] += 1
+        return probe(*args)
+
+    monkeypatch.setattr(optimize_module, "_secret_fraction", counted)
+    golden = json.loads((Path(__file__).resolve().parent / "data" / "golden_closed_forms.json").read_text())
+
+    assert [row["grid_index"] for row in golden["evaluate"]] == list(range(0, len(GRID), 7))
+    for row in golden["evaluate"]:
+        res = evaluate(GRID[row["grid_index"]], ProtocolParams(**row["protocol"]))
+        assert _result_reprs(res) == row["result"], row["grid_index"]
+
+    assert len(golden["optimize_vmod"]) == 36
+    for row in golden["optimize_vmod"]:
+        probes[0] = 0
+        opt = optimize_vmod(_golden_link(row), ProtocolParams(**row["protocol"]))
+        got = {"v_mod": repr(opt.v_mod), "boundary": opt.boundary,
+               "result": _result_reprs(opt.result), "probes": probes[0]}
+        assert got == {k: row[k] for k in got}, row["link"]
+
+    assert len(golden["snr_locked"]) == 24
+    for row in golden["snr_locked"]:
+        probes[0] = 0
+        opt = optimize_vmod_trec_snr_locked(_golden_link(row), ProtocolParams(**row["protocol"]),
+                                            row["snr_target"], t_rec_floor=row["t_rec_floor"])
+        got = {"v_mod": repr(opt.v_mod), "t_rec": repr(opt.t_rec), "boundary": opt.boundary,
+               "snr_residual": repr(opt.snr_residual), "result": _result_reprs(opt.result),
+               "probes": probes[0]}
+        assert got == {k: row[k] for k in got}, row["link"]

@@ -400,6 +400,18 @@ snr_target = 1.0
         assert captured.err.startswith(f"configuration error: optimize.{key} must be finite")
         assert captured.err.count("\n") == 1
 
+    @pytest.mark.parametrize("mode", ["vmod", "vmod_trec_snr"])
+    @pytest.mark.parametrize("value", ["0", "-1", "1.5"])
+    def test_t_rec_floor_outside_unit_interval_exits_2(self, tmp_path, capsys, value, mode):
+        text = (ROOT / "configs" / "snr_locked.ini").read_text() + f"t_rec_floor = {value}\n"
+        cfg = write(tmp_path, "bad.ini", text)
+        assert main(["optimize", "--config", cfg, "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            f"configuration error: optimize.t_rec_floor must lie in (0, 1], got {float(value)}\n"
+        )
+
     def test_infinite_vmod_cap_prints_one_stderr_line(self, tmp_path):
         text = (ROOT / "configs" / "snr_locked.ini").read_text().replace("vmod_hi = 1e3", "vmod_hi = inf")
         cfg = write(tmp_path, "bad.ini", text)

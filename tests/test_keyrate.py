@@ -3,17 +3,22 @@ import math
 from dataclasses import replace
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from cvrate import (
     Detection,
     DomainError,
     LinkParams,
+    PhysicalityError,
     ProtocolParams,
     Trust,
     evaluate,
     mutual_information,
     snr,
 )
+from cvrate.cloner import _args
+from cvrate.keyrate import _secret_fraction
 
 
 def make(v_mod=4.0, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1, xi_pr=0.0,
@@ -136,3 +141,29 @@ class TestDominanceAndContinuity:
         for field in ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec"):
             bumped = replace(base, **{field: getattr(base, field) + 1e-8})
             assert abs(evaluate(bumped, proto).secret_fraction - r0) < 1e-5
+
+
+def _outcome(fn):
+    try:
+        return repr(fn())
+    except (ArithmeticError, DomainError, PhysicalityError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestFloatProbe:
+    """The optimizer's probe is evaluate(...).secret_fraction on plain floats:
+    the same bits, or the same error, on every link."""
+
+    positive = st.floats(min_value=1e-6, max_value=1e6)
+    transmittance = st.one_of(st.just(1.0), st.floats(min_value=1e-12, max_value=1.0))
+    noise = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=10.0))
+
+    @given(positive, transmittance, noise, transmittance, noise, noise,
+           st.sampled_from(Detection), st.sampled_from(Trust), st.floats(min_value=0.0, max_value=1.0))
+    @settings(max_examples=400, deadline=None)
+    def test_matches_evaluate_bit_for_bit(self, v_mod, t_ch, xi_ch, t_rec, xi_rec, xi_pr,
+                                          detection, trust, beta):
+        p = make(v_mod=v_mod, t_ch=t_ch, xi_ch=xi_ch, t_rec=t_rec, xi_rec=xi_rec, xi_pr=xi_pr,
+                 detection=detection, trust=trust)
+        expected = _outcome(lambda: evaluate(p, ProtocolParams(beta=beta)).secret_fraction)
+        assert _outcome(lambda: _secret_fraction(beta, *_args(p))) == expected

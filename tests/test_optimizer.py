@@ -11,10 +11,12 @@ from cvrate import (
     DomainError,
     FiberModel,
     LinkParams,
+    PhysicalityError,
     ProtocolParams,
     Trust,
     UsageError,
     evaluate,
+    holevo_bound,
     optimize_vmod,
     optimize_vmod_trec_snr_locked,
     snr,
@@ -146,7 +148,128 @@ class TestSnrLockedJointSearch:
             rs.append(evaluate(replace(q, v_mod=v), PROTO).secret_fraction)
         assert opt.result.secret_fraction >= max(rs) - 1e-9
 
+    @pytest.mark.parametrize("floor", [0.0, -1.0, 1.5, math.nan])
+    def test_t_rec_floor_outside_unit_interval_is_named(self, floor):
+        with pytest.raises(DomainError, match=r"^t_rec_floor must lie in \(0, 1\], got "):
+            optimize_vmod_trec_snr_locked(make(), PROTO, 1.0, t_rec_floor=floor)
+
+    def test_t_rec_floor_of_one_searches_just_below_calibration(self):
+        opt = optimize_vmod_trec_snr_locked(make(t_rec=1.0, xi_rec=0.0), PROTO, 1.0, t_rec_floor=1.0)
+        assert 1.0 - 1e-9 <= opt.t_rec <= 1.0
+
     def test_unreachable_target(self):
         p = make(t_ch=1e-4, t_rec=0.5, detection=Detection.HOMODYNE)
         with pytest.raises(ConstraintError):
             optimize_vmod_trec_snr_locked(p, PROTO, 1.0, vmod_max=10.0)
+
+
+# Inputs that fail, with the exception type and message each entry point
+# gave before the closed forms and the optimizer's probes moved onto plain
+# floats; (link changes, entry points, error type, message).
+HOM, HET = Detection.HOMODYNE, Detection.HETERODYNE
+UNTRUSTED, TRP = Trust.UNTRUSTED_ALL, Trust.TRUSTED_RECEIVER_AND_PREPARATION
+_CAP = ("channel noise {} at t_ch = 1 implies a noise-source variance of {} SNU, beyond the "
+        "supported 10000; lower t_ch or the noise attributed to the channel")
+_UNPHYSICAL_0 = "symplectic eigenvalue 0 violates the uncertainty bound"
+_UNPHYSICAL_512 = "symplectic eigenvalue -512 violates the uncertainty bound"
+_LARGE_VMOD = dict(v_mod=1e20, t_ch=0.316227766, xi_ch=0.02, t_rec=0.7, xi_rec=0.05)
+ALL = ("holevo", "evaluate", "optimize_vmod", "snr_locked")
+FAILING = [
+    (dict(t_ch=1.0), ALL, DomainError, _CAP.format("0.05", "5e+10")),
+    (dict(t_ch=1.0, detection=HOM), ALL, DomainError, _CAP.format("0.05", "5e+10")),
+    (dict(t_ch=1.0, xi_ch=0.0, xi_pr=0.1), ALL, DomainError, _CAP.format("0.1", "1e+11")),
+    (dict(t_ch=1.0, xi_ch=0.0, t_rec=1.0, xi_rec=0.0, xi_pr=0.1, trust=UNTRUSTED),
+     ALL[:3], DomainError, _CAP.format("0.1", "1e+11")),
+    (dict(t_ch=1.0, xi_ch=0.0, t_rec=1.0, xi_rec=0.0, xi_pr=0.1, trust=UNTRUSTED, detection=HOM),
+     ALL[:3], DomainError, _CAP.format("0.1", "1e+11")),
+    (dict(t_ch=1e-200, t_rec=1e-200, trust=UNTRUSTED), ALL[:3], DomainError,
+     "t_ch must lie in (0, 1], got 0.0"),
+    (dict(t_ch=1e-200, t_rec=1e-200, trust=UNTRUSTED, detection=HOM), ALL[:3], DomainError,
+     "t_ch must lie in (0, 1], got 0.0"),
+    (dict(_LARGE_VMOD, trust=UNTRUSTED, detection=HOM), ALL[:2], PhysicalityError,
+     "conditional spectrum has negative radicand -8.072e+09"),
+    (dict(_LARGE_VMOD, trust=UNTRUSTED, detection=HOM), ALL[2:3], PhysicalityError, _UNPHYSICAL_512),
+    (dict(_LARGE_VMOD, trust=UNTRUSTED), ALL[2:3], PhysicalityError, _UNPHYSICAL_512),
+    (dict(_LARGE_VMOD, detection=HOM), ALL[:3], PhysicalityError, _UNPHYSICAL_0),
+    (dict(_LARGE_VMOD), ALL[:3], PhysicalityError, _UNPHYSICAL_0),
+    (dict(_LARGE_VMOD, trust=TRP, detection=HOM), ALL[:3], PhysicalityError, _UNPHYSICAL_0),
+    (dict(_LARGE_VMOD, trust=TRP), ALL[:3], PhysicalityError, _UNPHYSICAL_0),
+]
+
+
+def _call(entry, p):
+    if entry == "holevo":
+        return holevo_bound(p)
+    if entry == "evaluate":
+        return evaluate(p, PROTO)
+    if entry == "optimize_vmod":
+        # bracket the failing v_mod when there is one, so a probe meets it
+        bounds = (1e19, 1e21) if p.v_mod > 1e3 else (1e-3, 1e3)
+        return optimize_vmod(p, PROTO, bounds=bounds)
+    return optimize_vmod_trec_snr_locked(p, PROTO, 1.0)
+
+
+class TestErrorParity:
+    @pytest.mark.parametrize(
+        "change, entry, error, message",
+        [(change, entry, error, message) for change, entries, error, message in FAILING
+         for entry in entries],
+    )
+    def test_failing_input_keeps_its_error(self, change, entry, error, message):
+        with pytest.raises(error) as info:
+            _call(entry, make(**{"v_mod": 4.0, **change}))
+        assert type(info.value) is error
+        assert str(info.value) == message
+
+    def test_unreachable_snr_target_keeps_its_error(self):
+        p = make(t_ch=1e-4, t_rec=0.5, detection=HOM)
+        with pytest.raises(ConstraintError) as info:
+            optimize_vmod_trec_snr_locked(p, PROTO, 1.0, vmod_max=10.0)
+        assert str(info.value) == (
+            "SNR target 1 needs v_mod 22500 SNU > cap 10 even at the calibrated t_rec 0.5"
+        )
+
+
+class TestClampParity:
+    """A spectrum value within 1e-9 below 1 snaps to exactly 1, through
+    holevo_bound and through an optimizer probe alike."""
+
+    @pytest.fixture
+    def below_one(self, monkeypatch):
+        import cvrate.cloner as cloner
+
+        seen = []
+        clamp = cloner.clamp_spectrum
+
+        def spy(values):
+            seen.extend(float(v) for v in values if v < 1.0)
+            return clamp(values)
+
+        monkeypatch.setattr(cloner, "clamp_spectrum", spy)
+        return seen
+
+    # noiseless links: one eigenvalue of a pair is 1, and rounds to just below it
+    @pytest.mark.parametrize("detection, trust, t_rec", [
+        (HET, Trust.TRUSTED_RECEIVER, 0.5), (HOM, Trust.TRUSTED_RECEIVER, 0.5),
+        (HET, TRP, 0.5), (HOM, UNTRUSTED, 1.0),
+    ])
+    def test_holevo_bound_snaps_rounding_to_one(self, below_one, detection, trust, t_rec):
+        p = make(v_mod=1e-3, t_ch=0.3, xi_ch=0.0, t_rec=t_rec, xi_rec=0.0, detection=detection,
+                 trust=trust)
+        pair, _ = holevo_bound(p)
+        assert below_one and all(1.0 - 1e-9 <= v < 1.0 for v in below_one)
+        assert min(pair.nu_pre + pair.nu_post) == 1.0
+
+    def test_optimizer_probe_snaps_rounding_to_one(self, below_one):
+        p = make(t_ch=0.3, xi_ch=0.0, t_rec=0.5, xi_rec=0.0)
+        opt = optimize_vmod(p, PROTO, bounds=(1e-3, 1e-2))
+        assert below_one and all(1.0 - 1e-9 <= v < 1.0 for v in below_one)
+        assert min(opt.result.eigs) == 1.0
+
+    def test_value_well_below_one_is_rejected(self, below_one):
+        p = make(**_LARGE_VMOD)
+        with pytest.raises(PhysicalityError, match="violates the uncertainty bound"):
+            holevo_bound(p)
+        with pytest.raises(PhysicalityError, match="violates the uncertainty bound"):
+            optimize_vmod(p, PROTO, bounds=(1e19, 1e21))
+        assert min(below_one) < 1.0 - 1e-6
