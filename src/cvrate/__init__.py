@@ -1,28 +1,14 @@
 """Secure-key-rate toolkit for Gaussian-modulated coherent-state CV-QKD.
 
-Covariance-matrix algebra, an entangling-cloner noise model with closed-form
-eavesdropper entropies under untrusted, trusted-receiver and
-trusted-receiver-plus-preparation assumptions, an independent purification
-oracle, key-rate assembly and operating-point optimizers.
+The package namespace holds what a key-rate caller uses: the link and
+protocol records, the closed-form Holevo bound, key-rate evaluation, the two
+optimizers and the typed errors. The matrix algebra, noise-model helpers,
+purification oracle and config records are imported from their modules
+(``cvrate.gaussian``, ``cvrate.cloner``, ``cvrate.purification``,
+``cvrate.config``).
 """
 
-from .cloner import (
-    Detection,
-    EntropyPair,
-    LinkParams,
-    Trust,
-    assemble_and_propagate,
-    bob_variance,
-    effective_v,
-    effective_xi_ch,
-    eve_conditional_het,
-    eve_conditional_hom,
-    eve_state,
-    holevo_bound,
-    noise_source_variances,
-    receiver_folded,
-)
-from .config import FiberModel, SweepSpec
+from .cloner import Detection, EntropyPair, LinkParams, Trust, holevo_bound
 from .errors import (
     ConfigError,
     ConstraintError,
@@ -31,93 +17,23 @@ from .errors import (
     UnsupportedCaseError,
     UsageError,
 )
-from .gaussian import (
-    CovMatrix,
-    Quadrature,
-    SympMatrix,
-    apply_symplectic,
-    beamsplitter,
-    condition_heterodyne,
-    condition_homodyne,
-    direct_sum,
-    epr_state,
-    extract_modes,
-    mode_permutation,
-    symplectic_eigenvalues,
-    symplectic_form,
-    thermal_state,
-    two_mode_eigs,
-    vacuum_state,
-    von_neumann_entropy,
-)
-from .keyrate import ProtocolParams, RateResult, evaluate, mutual_information, snr
-from .optimize import (
-    ConstrainedOptimum,
-    VmodOptimum,
-    optimize_vmod,
-    optimize_vmod_trec_snr_locked,
-    vmod_for_snr,
-)
-from .purification import (
-    ab_matrix_trusted,
-    ab_matrix_untrusted,
-    oracle_conditional_entropy,
-    oracle_holevo,
-    purified_total_state,
-    purity_check,
-)
+from .keyrate import ProtocolParams, RateResult, evaluate
+from .optimize import ConstrainedOptimum, VmodOptimum, optimize_vmod, optimize_vmod_trec_snr_locked
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "CovMatrix",
-    "SympMatrix",
-    "Quadrature",
     "Detection",
     "Trust",
     "LinkParams",
     "EntropyPair",
     "ProtocolParams",
     "RateResult",
-    "FiberModel",
-    "SweepSpec",
     "VmodOptimum",
     "ConstrainedOptimum",
-    "symplectic_form",
-    "epr_state",
-    "thermal_state",
-    "vacuum_state",
-    "direct_sum",
-    "beamsplitter",
-    "mode_permutation",
-    "apply_symplectic",
-    "extract_modes",
-    "symplectic_eigenvalues",
-    "two_mode_eigs",
-    "von_neumann_entropy",
-    "condition_heterodyne",
-    "condition_homodyne",
-    "effective_v",
-    "effective_xi_ch",
-    "noise_source_variances",
-    "bob_variance",
-    "receiver_folded",
-    "assemble_and_propagate",
-    "eve_state",
-    "eve_conditional_het",
-    "eve_conditional_hom",
     "holevo_bound",
-    "ab_matrix_untrusted",
-    "ab_matrix_trusted",
-    "oracle_conditional_entropy",
-    "oracle_holevo",
-    "purified_total_state",
-    "purity_check",
-    "snr",
-    "mutual_information",
     "evaluate",
     "optimize_vmod",
-    "vmod_for_snr",
     "optimize_vmod_trec_snr_locked",
     "DomainError",
     "PhysicalityError",

@@ -17,6 +17,7 @@ import argparse
 import csv
 import functools
 import json
+import operator
 import sys
 from dataclasses import replace
 
@@ -36,23 +37,15 @@ from .errors import ConfigError, ConstraintError, DomainError, UsageError
 from .keyrate import ProtocolParams, RateResult, evaluate
 from .optimize import optimize_vmod, optimize_vmod_trec_snr_locked
 
-CSV_COLUMNS = [
-    "variable_name",
-    "value",
-    "trust",
-    "detection",
-    "v_mod",
-    "t_ch",
-    "xi_ch",
-    "t_rec",
-    "xi_rec",
-    "xi_pr",
-    "snr",
-    "i_ab",
-    "chi_eb",
-    "secret_fraction",
-    "key_rate",
-]
+# One spelling per field: the CSV columns and row cells and the JSON result
+# read these. The JSON ``params`` object keeps its own documented key order.
+_LINK_FIELDS = ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr")
+_RESULT_FIELDS = ("snr", "i_ab", "chi_eb", "secret_fraction", "key_rate")
+_PARAMS_KEYS = ("v_mod", "xi_pr", "t_ch", "xi_ch", "t_rec", "xi_rec")
+_link_values = operator.attrgetter(*_LINK_FIELDS)
+_result_values = operator.attrgetter(*_RESULT_FIELDS)
+
+CSV_COLUMNS = ["variable_name", "value", "trust", "detection", *_LINK_FIELDS, *_RESULT_FIELDS]
 
 
 def _fmt(x: float | None) -> str:
@@ -80,27 +73,12 @@ def _emit_json(payload: dict, out_path: str | None) -> None:
 
 
 def _result_dict(res: RateResult) -> dict:
-    return {
-        "snr": res.snr,
-        "i_ab": res.i_ab,
-        "chi_eb": res.chi_eb,
-        "secret_fraction": res.secret_fraction,
-        "key_rate": res.key_rate,
-        "nu": list(res.eigs),
-    }
+    return dict(zip(_RESULT_FIELDS, _result_values(res)), nu=list(res.eigs))
 
 
 def _params_dict(p: LinkParams, distance_km: float | None) -> dict:
-    out = {
-        "v_mod": p.v_mod,
-        "xi_pr": p.xi_pr,
-        "t_ch": p.t_ch,
-        "xi_ch": p.xi_ch,
-        "t_rec": p.t_rec,
-        "xi_rec": p.xi_rec,
-        "detection": p.detection.value,
-        "trust": p.trust.value,
-    }
+    out = {key: getattr(p, key) for key in _PARAMS_KEYS}
+    out.update(detection=p.detection.value, trust=p.trust.value)
     if distance_km is not None:
         out["distance_km"] = distance_km
     return out
@@ -124,21 +102,8 @@ def _solve_row(params: LinkParams, proto: ProtocolParams, optimize: bool) -> lis
         result = opt.result
     else:
         result = evaluate(params, proto)
-    return [
-        params.trust.value,
-        params.detection.value,
-        _fmt(params.v_mod),
-        _fmt(params.t_ch),
-        _fmt(params.xi_ch),
-        _fmt(params.t_rec),
-        _fmt(params.xi_rec),
-        _fmt(params.xi_pr),
-        _fmt(result.snr),
-        _fmt(result.i_ab),
-        _fmt(result.chi_eb),
-        _fmt(result.secret_fraction),
-        _fmt(result.key_rate),
-    ]
+    cells = _link_values(params) + _result_values(result)
+    return [params.trust.value, params.detection.value, *map(_fmt, cells)]
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -206,7 +171,10 @@ def cmd_optimize(args: argparse.Namespace) -> int:
     return 0
 
 
-def build_parser() -> argparse.ArgumentParser:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    # built once per process: argparse set-up costs about as much as a
+    # hundred closed-form evaluations, and parse_args leaves it unchanged
     parser = argparse.ArgumentParser(
         prog="cvrate",
         description="Asymptotic secure-key rates for Gaussian-modulated coherent-state CV-QKD.",
@@ -240,13 +208,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_opt.add_argument("--out", help="write the JSON report here instead of stdout")
     p_opt.set_defaults(func=cmd_optimize)
     return parser
-
-
-@functools.cache
-def _parser() -> argparse.ArgumentParser:
-    # built once per process: argparse set-up costs about as much as a
-    # hundred closed-form evaluations, and parse_args leaves it unchanged
-    return build_parser()
 
 
 def main(argv: list[str] | None = None) -> int:

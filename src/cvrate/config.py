@@ -17,6 +17,8 @@ from .errors import ConfigError, DomainError
 from .keyrate import ProtocolParams
 
 SWEEP_VARIABLES = ("distance_km", "xi_rec", "t_rec", "xi_pr", "xi_ch", "v_mod")
+# every row is held in memory until the CSV is written
+MAX_SWEEP_POINTS = 100_000
 
 
 @dataclass(frozen=True)
@@ -60,6 +62,8 @@ class SweepSpec:
             raise ConfigError(f"sweep needs start < stop, got {self.start} >= {self.stop}")
         if self.points < 2:
             raise ConfigError(f"sweep needs at least 2 points, got {self.points}")
+        if self.points > MAX_SWEEP_POINTS:
+            raise ConfigError(f"sweep allows at most {MAX_SWEEP_POINTS} points, got {self.points}")
         if self.scale not in ("linear", "log"):
             raise ConfigError(f"sweep scale must be 'linear' or 'log', got {self.scale!r}")
         if self.scale == "log" and self.start <= 0.0:
@@ -92,8 +96,13 @@ def parse_detection(text: str) -> Detection:
 
 
 def load_config(path: str) -> configparser.ConfigParser:
-    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"))
-    read = parser.read(path)
+    # no interpolation: a literal '%' reaches the number checks as written
+    parser = configparser.ConfigParser(inline_comment_prefixes=("#", ";"), interpolation=None)
+    try:
+        read = parser.read(path, encoding="utf-8")
+    except (configparser.Error, UnicodeDecodeError) as exc:
+        # configparser's messages can span lines; the CLI reports one
+        raise ConfigError(f"cannot parse config file {path!r}: {' '.join(str(exc).split())}") from None
     if not read:
         raise ConfigError(f"cannot read config file {path!r}")
     return parser

@@ -26,6 +26,7 @@ from .keyrate import ProtocolParams, RateResult, _secret_fraction, evaluate, snr
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-10
 _COARSE_POINTS = 64
+_REL_TOL = 1e-6  # golden-section stop: bracket width in log units
 
 
 @dataclass(frozen=True)
@@ -52,7 +53,6 @@ def _golden_max(
     fn: Callable[[float], float],
     lo: float,
     hi: float,
-    rel_tol: float,
     prefer_high: bool,
 ) -> tuple[float, str | None]:
     """Maximize fn on [lo, hi] (log-scaled), returning the best probed point.
@@ -80,7 +80,7 @@ def _golden_max(
     c = b - _INVPHI * (b - a)
     d = a + _INVPHI * (b - a)
     fc, fd = probe(c), probe(d)
-    while b - a > rel_tol:
+    while b - a > _REL_TOL:
         if fc >= fd:
             b, d, fd = d, c, fc
             c = b - _INVPHI * (b - a)
@@ -95,9 +95,9 @@ def _golden_max(
     u_star = max(eligible) if prefer_high else min(eligible)
 
     boundary = None
-    if u_hi - u_star <= 3.0 * rel_tol:
+    if u_hi - u_star <= 3.0 * _REL_TOL:
         boundary = "upper"
-    elif u_star - u_lo <= 3.0 * rel_tol:
+    elif u_star - u_lo <= 3.0 * _REL_TOL:
         boundary = "lower"
     return math.exp(u_star), boundary
 
@@ -128,7 +128,7 @@ def optimize_vmod(
     def objective(v: float) -> float:
         return _secret_fraction(proto.beta, v, *link)
 
-    v_star, boundary = _golden_max(objective, lo, hi, rel_tol=1e-6, prefer_high=False)
+    v_star, boundary = _golden_max(objective, lo, hi, prefer_high=False)
     return VmodOptimum(
         v_mod=v_star,
         result=evaluate(replace(params, v_mod=v_star), proto),
@@ -210,7 +210,7 @@ def optimize_vmod_trec_snr_locked(
         return _secret_fraction(proto.beta, implied_vmod(t), t_ch, xi_ch, t, xi_rec, xi_pr,
                                 detection, trust)
 
-    t_star, boundary = _golden_max(objective, floor, t_cal, rel_tol=1e-6, prefer_high=True)
+    t_star, boundary = _golden_max(objective, floor, t_cal, prefer_high=True)
     v_star = implied_vmod(t_star)
     tuned = replace(params, t_rec=t_star, v_mod=v_star)
     residual = abs(snr(tuned) - snr_target)

@@ -17,34 +17,40 @@ import numpy as np
 
 from cvrate import (
     Detection,
-    FiberModel,
     LinkParams,
     ProtocolParams,
-    Quadrature,
     Trust,
-    ab_matrix_trusted,
+    evaluate,
+    holevo_bound,
+    optimize_vmod,
+    optimize_vmod_trec_snr_locked,
+)
+from cvrate.cloner import (
     assemble_and_propagate,
-    condition_heterodyne,
-    condition_homodyne,
     effective_v,
     effective_xi_ch,
-    evaluate,
     eve_conditional_het,
     eve_conditional_hom,
     eve_state,
+    receiver_folded,
+)
+from cvrate.config import FiberModel
+from cvrate.gaussian import (
+    Quadrature,
+    condition_heterodyne,
+    condition_homodyne,
     extract_modes,
-    holevo_bound,
-    mutual_information,
-    optimize_vmod,
-    optimize_vmod_trec_snr_locked,
+    symplectic_eigenvalues,
+    von_neumann_entropy,
+)
+from cvrate.keyrate import mutual_information
+from cvrate.optimize import vmod_for_snr
+from cvrate.purification import (
+    ab_matrix_trusted,
     ab_matrix_untrusted,
     oracle_conditional_entropy,
     oracle_holevo,
     purified_total_state,
-    receiver_folded,
-    symplectic_eigenvalues,
-    vmod_for_snr,
-    von_neumann_entropy,
 )
 from cvrate.cli import main
 

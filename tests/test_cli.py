@@ -186,6 +186,25 @@ class TestRate:
         assert proc.stderr.count("\n") == 1
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "text",
+        [
+            POINT_CONFIG.replace("[link]\n", ""),  # no section header
+            POINT_CONFIG.replace("xi_rec = 0.1\n", "xi_rec = 0.1\nxi_rec = 0.2\n"),  # duplicated key
+            POINT_CONFIG.replace("[link]\n", "[link]\n# caf\xe9\n"),  # not UTF-8 once encoded as latin-1
+            POINT_CONFIG.replace("xi_rec = 0.1", "xi_rec = 5%"),  # would be an interpolation error
+        ],
+        ids=["no-section-header", "duplicate-key", "non-utf8", "percent-sign"],
+    )
+    def test_malformed_config_is_a_config_error(self, tmp_path, capsys, text):
+        path = tmp_path / "bad.ini"
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["rate", "--config", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("configuration error: ")
+        assert captured.err.count("\n") == 1
+
 
 class TestSweep:
     def test_csv_layout_and_physics(self, tmp_path):
@@ -256,6 +275,14 @@ class TestSweep:
         assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
         captured = capsys.readouterr()
         assert captured.err.startswith("configuration error: sweep start and stop must be finite")
+        assert captured.err.count("\n") == 1
+        assert not (tmp_path / "x.csv").exists()
+
+    def test_absurd_point_count_is_rejected_before_any_grid(self, tmp_path, capsys):
+        cfg = write(tmp_path, "huge.ini", SWEEP_CONFIG.replace("points = 8", "points = 1000000000000"))
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("configuration error: sweep allows at most ")
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 

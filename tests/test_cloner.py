@@ -9,22 +9,26 @@ from cvrate import (
     Detection,
     DomainError,
     LinkParams,
-    Quadrature,
     Trust,
     UsageError,
+    holevo_bound,
+)
+from cvrate.cloner import (
     assemble_and_propagate,
-    condition_heterodyne,
-    condition_homodyne,
     effective_v,
     effective_xi_ch,
-    epr_state,
     eve_conditional_het,
     eve_conditional_hom,
     eve_state,
-    extract_modes,
-    holevo_bound,
     noise_source_variances,
     receiver_folded,
+)
+from cvrate.gaussian import (
+    Quadrature,
+    condition_heterodyne,
+    condition_homodyne,
+    epr_state,
+    extract_modes,
     symplectic_eigenvalues,
     two_mode_eigs,
     von_neumann_entropy,
@@ -187,7 +191,7 @@ class TestEveState:
         c = math.sqrt(t * (v * v - 1))
         ab[:2, 2:] = c * SZ
         ab[2:, :2] = c * SZ
-        from cvrate import CovMatrix
+        from cvrate.gaussian import CovMatrix
 
         s_ab = von_neumann_entropy(symplectic_eigenvalues(CovMatrix(ab)))
         s_e = von_neumann_entropy(symplectic_eigenvalues(eve_state(p)))

@@ -6,13 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from cvrate import (
-    CovMatrix,
     DomainError,
     PhysicalityError,
-    Quadrature,
-    SympMatrix,
     UnsupportedCaseError,
     UsageError,
+)
+from cvrate.gaussian import (
+    CovMatrix,
+    Quadrature,
+    SympMatrix,
     apply_symplectic,
     beamsplitter,
     condition_heterodyne,

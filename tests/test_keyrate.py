@@ -14,9 +14,8 @@ from cvrate import (
     ProtocolParams,
     Trust,
     evaluate,
-    mutual_information,
-    snr,
 )
+from cvrate.keyrate import mutual_information, snr
 from cvrate.cloner import _args
 from cvrate.keyrate import _secret_fraction
 

@@ -9,7 +9,6 @@ from cvrate import (
     ConstraintError,
     Detection,
     DomainError,
-    FiberModel,
     LinkParams,
     PhysicalityError,
     ProtocolParams,
@@ -19,9 +18,10 @@ from cvrate import (
     holevo_bound,
     optimize_vmod,
     optimize_vmod_trec_snr_locked,
-    snr,
-    vmod_for_snr,
 )
+from cvrate.config import FiberModel
+from cvrate.keyrate import snr
+from cvrate.optimize import vmod_for_snr
 
 PROTO = ProtocolParams(beta=0.95)
 FIBER = FiberModel()

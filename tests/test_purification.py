@@ -10,28 +10,31 @@ from cvrate import (
     Detection,
     DomainError,
     LinkParams,
-    Quadrature,
     Trust,
-    ab_matrix_trusted,
-    ab_matrix_untrusted,
+    holevo_bound,
+)
+from cvrate.cloner import eve_state, noise_source_variances
+from cvrate.gaussian import (
+    Quadrature,
     apply_symplectic,
     beamsplitter,
     condition_heterodyne,
     condition_homodyne,
     direct_sum,
     epr_state,
-    eve_state,
-    holevo_bound,
     mode_permutation,
-    noise_source_variances,
-    oracle_conditional_entropy,
-    oracle_holevo,
-    purified_total_state,
-    purity_check,
     symplectic_eigenvalues,
     thermal_state,
     two_mode_eigs,
     von_neumann_entropy,
+)
+from cvrate.purification import (
+    ab_matrix_trusted,
+    ab_matrix_untrusted,
+    oracle_conditional_entropy,
+    oracle_holevo,
+    purified_total_state,
+    purity_check,
 )
 
 
@@ -94,7 +97,7 @@ class TestConditionalEntropy:
         assert oracle_conditional_entropy(p) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_closed_forms_on_mini_grid(self):
-        from cvrate import eve_conditional_het, eve_conditional_hom, receiver_folded
+        from cvrate.cloner import eve_conditional_het, eve_conditional_hom, receiver_folded
 
         for p in MINI_GRID:
             q = receiver_folded(p) if p.trust is Trust.UNTRUSTED_ALL else p
@@ -112,7 +115,7 @@ class TestConditionalEntropy:
         assert s_q == pytest.approx(s_p, abs=1e-10)
 
     def test_untrusted_equals_folded_trusted(self):
-        from cvrate import receiver_folded
+        from cvrate.cloner import receiver_folded
 
         p = make(trust=Trust.UNTRUSTED_ALL)
         assert oracle_conditional_entropy(p) == pytest.approx(
