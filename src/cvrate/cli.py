@@ -6,15 +6,18 @@ Subcommands:
     optimize  maximize the secret fraction, JSON report
 
 Exit codes: 0 success, 1 I/O failure, 2 invalid physics or configuration,
-3 unreachable optimization constraint. Sweep rows are evaluated
-independently and written in sweep order, so identical configs produce
-byte-identical files. ``sweep --jobs N`` is accepted and ignored.
+3 unreachable optimization constraint. Sweep rows are written in sweep order
+(value-major, trust-minor), so identical configs produce byte-identical
+files. Without ``optimize_vmod`` a sweep evaluates each trust case's whole
+grid in one pass through the closed forms, the swept field a
+``gaussian.Column`` (``keyrate._swept_rates``); a row that pass leaves to the
+float path goes through ``evaluate`` in sweep order, so an error names the
+row the per-row evaluation would. ``sweep --jobs N`` is accepted and ignored.
 """
 
 from __future__ import annotations
 
 import argparse
-import csv
 import functools
 import json
 import operator
@@ -23,8 +26,11 @@ from dataclasses import replace
 
 import numpy as np
 
-from .cloner import LinkParams
+from .cloner import _FIELDS as _LINK_FIELDS
+from .cloner import LinkParams, _args
 from .config import (
+    FiberModel,
+    SweepSpec,
     fiber_from_config,
     link_from_config,
     load_config,
@@ -34,12 +40,12 @@ from .config import (
     sweep_from_config,
 )
 from .errors import ConfigError, ConstraintError, DomainError, UsageError
-from .keyrate import ProtocolParams, RateResult, evaluate
+from .keyrate import ProtocolParams, RateResult, _key_rate, _swept_rates, evaluate
 from .optimize import optimize_vmod, optimize_vmod_trec_snr_locked
 
 # One spelling per field: the CSV columns and row cells and the JSON result
-# read these. The JSON ``params`` object keeps its own documented key order.
-_LINK_FIELDS = ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr")
+# read these (the link fields in LinkParams' order). The JSON ``params``
+# object keeps its own documented key order.
 _RESULT_FIELDS = ("snr", "i_ab", "chi_eb", "secret_fraction", "key_rate")
 _PARAMS_KEYS = ("v_mod", "xi_pr", "t_ch", "xi_ch", "t_rec", "xi_rec")
 _link_values = operator.attrgetter(*_LINK_FIELDS)
@@ -94,16 +100,59 @@ def cmd_rate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _solve_row(params: LinkParams, proto: ProtocolParams, optimize: bool) -> list[str]:
-    """CSV cells of one sweep row after its variable and value."""
-    if optimize:
-        opt = optimize_vmod(params, proto)
-        params = replace(params, v_mod=opt.v_mod)
-        result = opt.result
-    else:
-        result = evaluate(params, proto)
-    cells = _link_values(params) + _result_values(result)
-    return [params.trust.value, params.detection.value, *map(_fmt, cells)]
+def _sweep_lines(spec: SweepSpec, base: LinkParams, proto: ProtocolParams, fiber: FiberModel,
+                 grid: list[float]) -> list[str]:
+    """CSV lines of a sweep after the header, in sweep order: value-major, trust-minor.
+
+    A row is its grid value's cells (the value and the six link cells) around
+    its trust case, then five result cells. No cell holds a comma, a quote or
+    a line break, so joining them gives the bytes ``csv.writer`` would.
+    """
+    distance = spec.variable == "distance_km"
+    field = "t_ch" if distance else spec.variable
+    index = _LINK_FIELDS.index(field)
+
+    def change(value: float) -> dict:
+        return {"t_ch": fiber.t_ch(value)} if distance else {field: value}
+
+    swept = [_t_ch_or_nan(fiber, d) for d in grid] if distance else grid
+    link = _args(base)
+    # per trust case: its cells, and the rates of its grid (None where the float path decides)
+    cases = [(trust, f"{trust.value},{base.detection.value},",
+              [None] * len(grid) if spec.optimize_vmod else
+              _swept_rates(proto.beta, link[:7] + (trust,), field, swept))
+             for trust in spec.trust_cases]
+    link_cells = [*map(_fmt, link[:6])]
+    lines = []
+    for i, value in enumerate(grid):
+        head = f"{spec.variable},{_fmt(value)},"
+        link_cells[index] = _fmt(swept[i])
+        links = ",".join(link_cells)
+        for trust, case, grid_rates in cases:
+            rates = grid_rates[i]
+            row_links = links
+            if rates is None:
+                params = replace(base, trust=trust, **change(value))
+                if spec.optimize_vmod:
+                    opt = optimize_vmod(params, proto)
+                    params = replace(params, v_mod=opt.v_mod)
+                    row_links = ",".join(map(_fmt, _link_values(params)))
+                    result = opt.result
+                else:
+                    result = evaluate(params, proto)
+                rates = _result_values(result)[:4]
+            results = ",".join([*map(_fmt, rates), _fmt(_key_rate(proto, rates[3]))])
+            lines.append(f"{head}{case}{row_links},{results}\n")
+    return lines
+
+
+def _t_ch_or_nan(fiber: FiberModel, distance_km: float) -> float:
+    # a length the fibre model rejects fails LinkParams' rule on t_ch, so its
+    # rows go through the float path, which raises the fibre model's error
+    try:
+        return fiber.t_ch(distance_km)
+    except DomainError:
+        return float("nan")
 
 
 def cmd_sweep(args: argparse.Namespace) -> int:
@@ -124,16 +173,10 @@ def cmd_sweep(args: argparse.Namespace) -> int:
     else:
         grid = np.linspace(spec.start, spec.stop, spec.points).tolist()
 
-    rows = []
-    for value in grid:
-        change = {"t_ch": fiber.t_ch(value)} if spec.variable == "distance_km" else {spec.variable: value}
-        for trust in spec.trust_cases:
-            link = replace(base, trust=trust, **change)
-            rows.append([spec.variable, _fmt(value), *_solve_row(link, proto, spec.optimize_vmod)])
+    lines = _sweep_lines(spec, base, proto, fiber, grid)
     with open(args.out, "w", newline="") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(CSV_COLUMNS)
-        writer.writerows(rows)
+        fh.write(",".join(CSV_COLUMNS) + "\n")
+        fh.writelines(lines)
     return 0
 
 

@@ -9,10 +9,16 @@ output come out as ``xi`` exactly. Trusted devices are excluded from the
 eavesdropper's side of the bookkeeping but still shape the receiver's
 measurement statistics.
 
-Each closed form is written once, on plain floats: ``_noise_model``, ``_fold``
-(the untrusted receiver fold), ``_pre_pair``, ``_het_pair`` and ``_hom_pair``,
-combined by ``_holevo``. The public functions pass a ``LinkParams`` through
-``_args``; optimizer probes call ``_holevo`` with no ``LinkParams`` or array.
+Each closed form is written once: ``_noise_model``, ``_fold`` (the untrusted
+receiver fold), ``_pre_pair``, ``_het_pair`` and ``_hom_pair``, combined by
+``_holevo``. The public functions pass a ``LinkParams`` through ``_args``;
+optimizer probes call ``_holevo`` on plain floats with no ``LinkParams`` or
+array. A sweep passes one operand as a ``gaussian.Column`` holding its whole
+grid, the others staying floats. The steps that depend on the operand kind go
+through one seam: ``xp.sqrt`` and ``xp.log2`` (``xp`` is ``math`` on floats and
+``Column`` on a column), ``x ** 2``, the branch conditions and
+``clamp_spectrum``; ``Column`` documents how each keeps a row's bits equal to
+the float path's, and marks the rows it leaves to that path.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.
@@ -26,6 +32,7 @@ from dataclasses import dataclass, replace
 
 from .errors import DomainError, PhysicalityError, UsageError
 from .gaussian import (
+    Column,
     CovMatrix,
     apply_symplectic,
     beamsplitter,
@@ -45,6 +52,16 @@ _MIN_OPEN_PORT = 1e-12
 
 # Largest channel noise-source variance the closed forms evaluate accurately.
 _MAX_W_CH = 1e4
+
+# LinkParams' float fields, in the order _args and the float functions take them
+_FIELDS = ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr")
+
+
+def _in_domain(name: str, x):
+    # LinkParams' rule for one float field; elementwise on an array
+    if name in ("t_ch", "t_rec"):
+        return (0.0 < x) & (x <= 1.0)
+    return (0.0 <= x) & (x < math.inf)
 
 
 def _xi_tot(t_ch: float, xi_ch: float, t_rec: float, xi_rec: float, xi_pr: float) -> float:
@@ -103,14 +120,14 @@ class LinkParams:
     xi_pr: float = 0.0
 
     def __post_init__(self):
-        for name in ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr"):
+        for name in _FIELDS:
             object.__setattr__(self, name, float(getattr(self, name)))
         for name in ("v_mod", "xi_pr", "xi_ch", "xi_rec"):
-            if not 0.0 <= getattr(self, name) < math.inf:
+            if not _in_domain(name, getattr(self, name)):
                 raise DomainError(f"{name} must be finite and >= 0, got {getattr(self, name)}")
         for name in ("t_ch", "t_rec"):
             t = getattr(self, name)
-            if not 0.0 < t <= 1.0:
+            if not _in_domain(name, t):
                 raise DomainError(f"{name} must lie in (0, 1], got {t}")
         if not isinstance(self.detection, Detection):
             raise DomainError(f"detection must be a Detection value, got {self.detection!r}")
@@ -279,33 +296,33 @@ def eve_state(params: LinkParams) -> CovMatrix:
     return two_mode_state((1.0 - t_ch) * v + t_ch * w_ch, w_ch, c)
 
 
-def _clamped(a: float, b: float) -> tuple[float, float]:
-    # clamp_spectrum holds the policy; a pair at or above 1 needs none of it
-    if a < 1.0 or b < 1.0:
-        return tuple(clamp_spectrum((a, b)).tolist())
+def _clamped(a: float, b: float, xp) -> tuple[float, float]:
+    # clamp_spectrum holds the policy; a float pair at or above 1 needs none of it
+    if xp is Column or a < 1.0 or b < 1.0:
+        return clamp_spectrum((a, b))
     return a, b
 
 
-def _het_pair(model: tuple[float, ...]) -> tuple[float, float]:
+def _het_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
     v, t_ch, t_rec, w_ch, w_rec, v_b, _ = model
     e1 = v * ((1.0 - t_rec) * w_rec + t_rec * w_ch + 1.0) + t_ch * (w_ch - v) * (
         1.0 + (1.0 - t_rec) * w_rec
     )
-    e2 = math.sqrt(t_ch * (w_ch * w_ch - 1.0)) * (t_rec * v + (1.0 - t_rec) * w_rec + 1.0)
+    e2 = xp.sqrt(t_ch * (w_ch * w_ch - 1.0)) * (t_rec * v + (1.0 - t_rec) * w_rec + 1.0)
     e3 = (1.0 - t_rec) * w_ch * w_rec + t_rec * t_ch * (v * w_ch - 1.0) + t_rec + w_ch
 
     disc = (e1 + e3) ** 2 - 4.0 * e2 * e2
     if disc < 0.0:
         raise PhysicalityError(f"conditional spectrum has negative discriminant {disc:.3e}")
-    z = math.sqrt(disc)
+    z = xp.sqrt(disc)
     nu3 = (z + (e3 - e1)) / (2.0 * (v_b + 1.0))
     nu4 = (z - (e3 - e1)) / (2.0 * (v_b + 1.0))
-    return _clamped(nu3, nu4)
+    return _clamped(nu3, nu4, xp)
 
 
-def _hom_pair(model: tuple[float, ...]) -> tuple[float, float]:
+def _hom_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
     v, t_ch, t_rec, w_ch, w_rec, v_b, _ = model
-    cross = math.sqrt(t_ch * (w_ch * w_ch - 1.0))
+    cross = xp.sqrt(t_ch * (w_ch * w_ch - 1.0))
     reflected = t_rec * v + (1.0 - t_rec) * w_rec
 
     e1 = v + t_ch * (w_ch - v) * reflected / v_b
@@ -323,14 +340,14 @@ def _hom_pair(model: tuple[float, ...]) -> tuple[float, float]:
     inner = (m11 - m22) ** 2 + 4.0 * m12 * m21
     if inner < -1e-12:
         raise PhysicalityError(f"conditional spectrum has negative radicand {inner:.3e}")
-    root = math.sqrt(max(inner, 0.0))
+    root = xp.sqrt(max(inner, 0.0))
     squares = [(m11 + m22 + root) / 2.0, (m11 + m22 - root) / 2.0]
     nus = []
     for sq in squares:
         if sq < -1e-12:
             raise PhysicalityError(f"conditional spectrum has negative radicand {sq:.3e}")
-        nus.append(math.sqrt(max(sq, 0.0)))
-    return _clamped(nus[0], nus[1])
+        nus.append(xp.sqrt(max(sq, 0.0)))
+    return _clamped(nus[0], nus[1], xp)
 
 
 def eve_conditional_het(params: LinkParams) -> tuple[float, float]:
@@ -357,7 +374,7 @@ def eve_conditional_hom(params: LinkParams) -> tuple[float, float]:
     return _hom_pair(_noise_model(*_args(params)))
 
 
-def _pre_pair(model: tuple[float, ...]) -> tuple[float, float]:
+def _pre_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
     # two_mode_eigs of the eve_state entries, with the discriminant expanded
     # into a form free of cancellation, (xV)^2 + 2(2-x)V s + s^2 + 4(1-x) with
     # x = 1 - t_ch and s = xi_ch + x = x W_ch, so the pair stays accurate even
@@ -365,29 +382,31 @@ def _pre_pair(model: tuple[float, ...]) -> tuple[float, float]:
     v, t_ch, _, _, _, _, xi_ch = model
     x = 1.0 - t_ch
     s = xi_ch + x
-    z = math.sqrt((x * v) ** 2 + 2.0 * (2.0 - x) * v * s + s * s + 4.0 * (1.0 - x))
+    z = xp.sqrt((x * v) ** 2 + 2.0 * (2.0 - x) * v * s + s * s + 4.0 * (1.0 - x))
     d = s - x * v  # difference of the diagonal entries
-    return _clamped(0.5 * (z + d), 0.5 * (z - d))
+    return _clamped(0.5 * (z + d), 0.5 * (z - d), xp)
 
 
 def _holevo(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float, xi_pr: float,
-            detection: Detection, trust: Trust) -> tuple:
-    # holevo_bound on floats: (S_E, S_E|B, nu_pre, nu_post, chi)
+            detection: Detection, trust: Trust, xp=math) -> tuple:
+    # holevo_bound without a LinkParams: (S_E, S_E|B, nu_pre, nu_post, chi)
     if trust is Trust.UNTRUSTED_ALL:
         v = v_mod + 1.0
         t_tot, xi_tot = t_ch * t_rec, _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr)
-        pre = two_mode_eigs(v, t_tot * (v - 1.0) + 1.0 + xi_tot, math.sqrt(t_tot * (v * v - 1.0)))
+        pre = two_mode_eigs(v, t_tot * (v - 1.0) + 1.0 + xi_tot, xp.sqrt(t_tot * (v * v - 1.0)), xp)
         model = _noise_model(v_mod, *_fold(v_mod, t_tot, xi_tot, detection))
     else:
         model = _noise_model(v_mod, t_ch, xi_ch, t_rec, xi_rec, xi_pr, detection, trust)
-        pre = _pre_pair(model)
-    post = _het_pair(model) if detection is Detection.HETERODYNE else _hom_pair(model)
+        pre = _pre_pair(model, xp)
+    post = _het_pair(model, xp) if detection is Detection.HETERODYNE else _hom_pair(model, xp)
 
+    if xp is Column:  # so that each sort below takes one branch on every row
+        pre, post = Column.descending(*pre), Column.descending(*post)
     # the same order sorted(..., reverse=True) gives, NaN included
     nu_pre = (pre[1], pre[0]) if pre[0] < pre[1] else pre
     nu_post = (post[1], post[0]) if post[0] < post[1] else post
-    s_e = von_neumann_entropy(nu_pre)
-    s_e_given_b = von_neumann_entropy(nu_post)
+    s_e = von_neumann_entropy(nu_pre, xp)
+    s_e_given_b = von_neumann_entropy(nu_post, xp)
     chi = s_e - s_e_given_b
     if chi < -1e-9:
         raise PhysicalityError(f"Holevo bound came out negative ({chi:.3e})")

@@ -14,6 +14,10 @@ after their argument checks, ``direct_sum``, ``beamsplitter``,
 ``mode_permutation``, ``apply_symplectic``, ``extract_modes`` and the
 conditioning functions) trusts its validated inputs and wraps its result
 without re-checking it.
+
+``Column`` is the array operand of the closed forms in :mod:`cvrate.cloner`:
+one value per row of a sweep grid, taken by ``two_mode_eigs``,
+``clamp_spectrum`` and ``von_neumann_entropy`` wherever they take a float.
 """
 
 from __future__ import annotations
@@ -277,22 +281,119 @@ def _select_modes(data: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     return data.take(idx, axis=0).take(idx, axis=1)
 
 
-def clamp_spectrum(values: np.ndarray) -> np.ndarray:
+def _clamp_floats(values: Sequence[float]) -> list[float]:
+    # clamp_spectrum's policy on Python floats, and the one place it is written
+    if any(nu < 1.0 - PHYSICALITY_TOL for nu in values):
+        worst = float(np.min(values))
+        raise PhysicalityError(f"symplectic eigenvalue {worst:.9g} violates the uncertainty bound")
+    return [1.0 if 1.0 - CLAMP_TOL <= nu < 1.0 else nu for nu in values]
+
+
+def clamp_spectrum(values):
     """Clamp near-unit symplectic eigenvalues, reject unphysical ones.
 
     Values in [1 - 1e-9, 1) become exactly 1; anything below 1 - 1e-6 raises
-    PhysicalityError naming the offending value. When no value lies below 1
-    there is nothing to do, and the input array is returned as it is.
-    Spectra are a few values long, so the rest runs on Python floats.
+    PhysicalityError naming the offending value. A tuple comes back as a
+    tuple: a pair of floats from the closed forms is clamped on floats, with
+    no numpy round trip, and a pair of swept columns row by row (see
+    ``Column``). Any other input comes back as an array of its shape, the
+    input itself when no value lies below 1.
     """
+    if isinstance(values, tuple):
+        if any(isinstance(nu, Column) for nu in values):
+            return tuple(nu.clamped() for nu in values)
+        return tuple(_clamp_floats(values))
     values = np.asarray(values, dtype=float)
     if not (values < 1.0).any():
         return values
-    floats = values.ravel().tolist()
-    if any(nu < 1.0 - PHYSICALITY_TOL for nu in floats):
-        worst = float(values.min())
-        raise PhysicalityError(f"symplectic eigenvalue {worst:.9g} violates the uncertainty bound")
-    return np.array([1.0 if 1.0 - CLAMP_TOL <= nu < 1.0 else nu for nu in floats]).reshape(values.shape)
+    return np.array(_clamp_floats(values.ravel().tolist())).reshape(values.shape)
+
+
+class Column(np.ndarray):
+    """One operand of the closed forms holding a value per row of a sweep grid.
+
+    The closed forms take a column wherever they take a float, and give each
+    row the bits the float path gives it:
+
+    - arithmetic is IEEE on both; ``x ** 2`` calls C ``pow`` through
+      ``float_power``, as a float's does (numpy's own ``**`` squares by
+      multiplication, which rounds differently);
+    - ``Column.sqrt`` and ``Column.log2`` stand in for ``math``'s (the
+      kernel's ``xp``); ``log2`` calls ``math.log2`` per row, since
+      ``np.log2`` rounds differently on some inputs;
+    - a branch condition over a column follows the branch most pending rows
+      take; ``clamp_spectrum`` snaps a column row by row and ``descending``
+      orders a pair of columns row by row, so that neither splits a grid.
+
+    A row that takes another branch, or where the float path would raise,
+    is marked in ``redo`` (shared by every column of one pass) for the
+    float path to evaluate instead; its value here is meaningless.
+    """
+
+    redo: np.ndarray
+
+    @classmethod
+    def of(cls, values, redo: np.ndarray) -> "Column":
+        column = np.array(values, dtype=float).view(cls)
+        column.redo = redo
+        return column
+
+    def __array_finalize__(self, obj):
+        self.redo = getattr(obj, "redo", None)
+
+    def __bool__(self) -> bool:
+        cond = self.view(np.ndarray)
+        if not cond.any():
+            return False
+        if cond.all():
+            return True
+        pending = ~self.redo
+        taken = bool(2 * np.count_nonzero(cond & pending) > np.count_nonzero(pending))
+        self.redo |= cond != taken
+        return taken
+
+    def __pow__(self, exponent):
+        out = np.float_power(self, exponent)
+        self.redo |= np.isinf(out) & np.isfinite(self)  # float ** raises OverflowError
+        return out
+
+    @staticmethod
+    def sqrt(x):
+        if not isinstance(x, Column):
+            return math.sqrt(x)
+        x.redo |= x.view(np.ndarray) < 0.0  # math.sqrt raises
+        return np.sqrt(x)
+
+    @staticmethod
+    def log2(x):
+        if not isinstance(x, Column):
+            return math.log2(x)
+        rows = x.view(np.ndarray)
+        ok = rows > 0.0
+        if not ok.all():
+            x.redo |= ~ok  # math.log2 raises, or the row is NaN
+            rows = np.where(ok, rows, 1.0)
+        return Column.of(list(map(math.log2, rows.tolist())), x.redo)
+
+    @staticmethod
+    def descending(a, b) -> tuple:
+        """A pair of columns in descending order row by row, a NaN row in the
+        order it came in, as the float path's sort leaves it; a pair of
+        floats as it came in."""
+        if not isinstance(a, Column):
+            return a, b
+        swap = a.view(np.ndarray) < b
+        return Column.of(np.where(swap, b, a), a.redo), Column.of(np.where(swap, a, b), a.redo)
+
+    def clamped(self) -> "Column":
+        """clamp_spectrum row by row: a row it would reject goes to ``redo``."""
+        out = self.copy()
+        for i in np.flatnonzero(self.view(np.ndarray) < 1.0).tolist():
+            try:
+                out[i] = _clamp_floats([float(self[i])])[0]
+            except PhysicalityError:
+                self.redo[i] = True
+        return out
 
 
 def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
@@ -312,22 +413,23 @@ def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
     return clamp_spectrum(nus[::-1])
 
 
-def two_mode_eigs(a: float, b: float, c: float) -> tuple[float, float]:
+def two_mode_eigs(a: float, b: float, c: float, xp=math) -> tuple[float, float]:
     """Symplectic eigenvalues of [[a I, c sigma_z], [c sigma_z, b I]].
 
     Returns ``(z + (b - a)) / 2`` and ``(z - (b - a)) / 2`` with
     ``z = sqrt((a + b)**2 - 4 c**2)``; agrees with the generic solver on the
     assembled 4x4 matrix. The same clamping policy as the generic solver is
-    applied to the results; a pair at or above 1 skips it.
+    applied to the results; a float pair at or above 1 skips it. ``xp`` is
+    ``math`` on floats and ``Column`` on a swept column.
     """
     disc = (a + b) ** 2 - 4.0 * c * c
     if disc < 0.0:
         raise DomainError(f"negative discriminant {disc:.3e} for a={a}, b={b}, c={c}")
-    z = math.sqrt(disc)
+    z = xp.sqrt(disc)
     nu1, nu2 = 0.5 * (z + (b - a)), 0.5 * (z - (b - a))
-    if nu1 < 1.0 or nu2 < 1.0:
+    if xp is Column or nu1 < 1.0 or nu2 < 1.0:
         nu1, nu2 = clamp_spectrum((nu1, nu2))
-    return float(nu1), float(nu2)
+    return nu1, nu2
 
 
 def _partition_at(cov: CovMatrix, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -376,13 +478,14 @@ def condition_homodyne(cov: CovMatrix, mode: int, quad: Quadrature) -> CovMatrix
     return _unchecked(CovMatrix, 0.5 * (out + out.T))
 
 
-def von_neumann_entropy(eigs: Iterable[float]) -> float:
+def von_neumann_entropy(eigs: Iterable[float], xp=math) -> float:
     """Entropy in bits of a Gaussian state from its symplectic spectrum.
 
     Each eigenvalue contributes
     ``(nu+1)/2 * log2((nu+1)/2) - (nu-1)/2 * log2((nu-1)/2)``; the second
     term is dropped for nu - 1 < 1e-12 (continuous limit of x log x).
-    Eigenvalues below 1 beyond rounding tolerance are rejected.
+    Eigenvalues below 1 beyond rounding tolerance are rejected. ``xp`` is
+    ``math`` on floats and ``Column`` on swept columns.
     """
     total = 0.0
     for nu in eigs:
@@ -390,8 +493,8 @@ def von_neumann_entropy(eigs: Iterable[float]) -> float:
             raise DomainError(f"symplectic eigenvalue {nu} is below 1")
         # x * log2(x), with the continuous limit 0 at x = 0
         x = (nu + 1.0) / 2.0
-        total += x * math.log2(x) if x > 0.0 else 0.0
+        total += x * xp.log2(x) if x > 0.0 else 0.0
         if nu - 1.0 >= 1e-12:
             x = (nu - 1.0) / 2.0
-            total -= x * math.log2(x) if x > 0.0 else 0.0
+            total -= x * xp.log2(x) if x > 0.0 else 0.0
     return total

@@ -2,7 +2,9 @@
 
 Combines the mutual information of the Gaussian channel with the
 eavesdropper bound from :mod:`cvrate.cloner` and the classical
-post-processing parameters into a single result record.
+post-processing parameters into a single result record. ``_swept_rates``
+gives the numbers of a whole sweep grid, the swept field a
+``gaussian.Column``.
 """
 
 from __future__ import annotations
@@ -10,8 +12,11 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-from .cloner import Detection, LinkParams, Trust, _args, _holevo, _xi_tot, holevo_bound
+import numpy as np
+
+from .cloner import _FIELDS, Detection, LinkParams, Trust, _args, _holevo, _in_domain, _xi_tot, holevo_bound
 from .errors import DomainError
+from .gaussian import Column
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -64,11 +69,11 @@ class RateResult:
 
 
 def _information(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float,
-                 xi_pr: float, detection: Detection, trust: Trust) -> tuple[float, float]:
-    # (SNR, I_AB) on floats, for a link as cloner._args gives it
+                 xi_pr: float, detection: Detection, trust: Trust, xp=math) -> tuple[float, float]:
+    # (SNR, I_AB) for a link as cloner._args gives it
     mu = detection.mu
     snr_value = t_ch * t_rec * v_mod / (mu + _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr))
-    return snr_value, 0.5 * mu * math.log2(1.0 + snr_value)
+    return snr_value, 0.5 * mu * xp.log2(1.0 + snr_value)
 
 
 def snr(params: LinkParams) -> float:
@@ -92,6 +97,43 @@ def _secret_fraction(beta: float, *link) -> float:
     return beta * _information(*link)[1] - _holevo(*link)[-1]
 
 
+def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> list[tuple | None]:
+    """(SNR, I_AB, chi, secret fraction) of ``link`` (as ``cloner._args``
+    gives it) with its ``field`` set to each of ``values``.
+
+    One pass through the closed forms with that field a ``Column``. A row
+    gets None where the float path must decide it: a value ``LinkParams``
+    rejects, a row the column marks for redo, or a non-finite result. Every
+    other row has the bits ``evaluate`` gives it.
+    """
+    redo = ~_in_domain(field, np.array(values, dtype=float))
+    index = _FIELDS.index(field)
+    link = link[:index] + (Column.of(values, redo),) + link[index + 1:]
+    with np.errstate(all="ignore"):
+        try:
+            snr_value, i_ab = _information(*link, Column)
+            chi = _holevo(*link, Column)[-1]
+        except (ArithmeticError, ValueError, TypeError):
+            # a branch most rows take raises, or a part of the link the
+            # column does not reach is rejected: the float path decides
+            return [None] * len(values)
+        rates = (snr_value, i_ab, chi, beta * i_ab - chi)
+    table = np.empty((len(rates), len(values)))
+    for out, rate in zip(table, rates):
+        out[:] = rate  # a rate the column does not reach is a float
+    redo |= ~np.isfinite(table).all(axis=0)
+    return [None if skip else row for skip, row in zip(redo.tolist(), table.T.tolist())]
+
+
+def _key_rate(proto: ProtocolParams, secret: float) -> float | None:
+    # f_sym (1 - fer)(1 - disclosed) max(secret, 0); None without a symbol rate
+    if proto.f_sym is None:
+        return None
+    if secret > 0.0:
+        return proto.f_sym * (1.0 - proto.fer) * (1.0 - proto.disclosed_fraction) * secret
+    return 0.0
+
+
 def evaluate(params: LinkParams, proto: ProtocolParams) -> RateResult:
     """Evaluate one operating point.
 
@@ -102,17 +144,11 @@ def evaluate(params: LinkParams, proto: ProtocolParams) -> RateResult:
     pair, chi = holevo_bound(params)
     snr_value, i_ab = _information(*_args(params))
     secret = proto.beta * i_ab - chi
-    if proto.f_sym is None:
-        key_rate = None
-    elif secret > 0.0:
-        key_rate = proto.f_sym * (1.0 - proto.fer) * (1.0 - proto.disclosed_fraction) * secret
-    else:
-        key_rate = 0.0
     return RateResult(
         snr=snr_value,
         i_ab=i_ab,
         chi_eb=chi,
         secret_fraction=secret,
-        key_rate=key_rate,
+        key_rate=_key_rate(proto, secret),
         eigs=(pair.nu_pre[0], pair.nu_pre[1], pair.nu_post[0], pair.nu_post[1]),
     )

@@ -198,10 +198,13 @@ def optimize_vmod_trec_snr_locked(
         lo_t, hi_t = floor, t_cal
         for _ in range(200):
             mid = 0.5 * (lo_t + hi_t)
+            settled = mid == lo_t or mid == hi_t  # then no later step moves the bracket
             if implied_vmod(mid) > vmod_max:
                 lo_t = mid
             else:
                 hi_t = mid
+            if settled:
+                break
         floor = hi_t
     if floor >= t_cal:
         floor = t_cal * (1.0 - 1e-9)

@@ -4,11 +4,17 @@ import os
 import re
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from cvrate.cli import CSV_COLUMNS, main
+from cvrate import Detection, LinkParams, PhysicalityError, ProtocolParams, Trust, evaluate
+from cvrate.cli import CSV_COLUMNS, _fmt, _sweep_lines, main
+from cvrate.config import SWEEP_VARIABLES, FiberModel, SweepSpec
 
 POINT_CONFIG = """\
 [link]
@@ -328,6 +334,98 @@ trust_cases = trusted_receiver
         assert 0 < peak < len(rs) - 1  # interior maximum
 
 
+def _per_row_lines(spec, base, proto, fiber, grid):
+    """The sweep evaluated one row at a time, in sweep order."""
+    lines = []
+    for value in grid:
+        change = {"t_ch": fiber.t_ch(value)} if spec.variable == "distance_km" else {spec.variable: value}
+        for trust in spec.trust_cases:
+            params = replace(base, trust=trust, **change)
+            res = evaluate(params, proto)
+            cells = [spec.variable, _fmt(value), trust.value, params.detection.value,
+                     *(_fmt(getattr(params, f)) for f in ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr")),
+                     *(_fmt(getattr(res, f)) for f in ("snr", "i_ab", "chi_eb", "secret_fraction", "key_rate"))]
+            lines.append(",".join(cells) + "\n")
+    return lines
+
+
+def _outcome(fn):
+    try:
+        return fn()
+    except (ArithmeticError, ValueError) as exc:
+        return f"{type(exc).__name__}: {exc}"
+
+
+class TestSweepRows:
+    """Non-optimized sweeps run each trust case's grid as arrays; their rows,
+    and the first error, are those of evaluating one row at a time."""
+
+    transmittance = st.one_of(st.floats(min_value=1e-9, max_value=1.0), st.sampled_from([1.0, 1.0 - 1e-7]))
+    noise = st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0))
+    # sweep variable -> (start and stop draws, log scale allowed)
+    bounds = {
+        "distance_km": st.one_of(st.floats(min_value=0.0, max_value=300.0), st.just(-5.0)),
+        "xi_ch": st.one_of(st.floats(min_value=0.0, max_value=0.5), st.just(-0.1)),
+        "xi_rec": st.floats(min_value=-0.05, max_value=1.0),
+        "xi_pr": st.floats(min_value=0.0, max_value=0.5),
+        "t_rec": st.floats(min_value=-0.1, max_value=1.2),
+        "v_mod": st.one_of(st.floats(min_value=1e-4, max_value=1e4), st.sampled_from([1e14, 1e17])),
+    }
+
+    @given(st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_rows_and_first_error_match_per_row_evaluation(self, data):
+        variable = data.draw(st.sampled_from(SWEEP_VARIABLES))
+        start, stop = sorted(data.draw(st.lists(self.bounds[variable], min_size=2, max_size=2, unique=True)))
+        scale = data.draw(st.sampled_from(["linear", "log"])) if start > 0.0 else "linear"
+        trusts = data.draw(st.lists(st.sampled_from(Trust), min_size=1, max_size=3, unique=True))
+        spec = SweepSpec(variable=variable, start=start, stop=stop, points=data.draw(st.integers(2, 9)),
+                         scale=scale, trust_cases=tuple(trusts))
+        base = LinkParams(v_mod=data.draw(st.floats(min_value=1e-3, max_value=1e3)),
+                          t_ch=data.draw(self.transmittance), xi_ch=data.draw(self.noise),
+                          t_rec=data.draw(self.transmittance), xi_rec=data.draw(self.noise),
+                          xi_pr=data.draw(self.noise), detection=data.draw(st.sampled_from(Detection)),
+                          trust=trusts[0])
+        proto = ProtocolParams(beta=0.95, fer=0.1, f_sym=data.draw(st.sampled_from([None, 1e8])))
+        fiber = FiberModel()
+        space = np.geomspace if scale == "log" else np.linspace
+        grid = space(start, stop, spec.points).tolist()
+        expected = _outcome(lambda: _per_row_lines(spec, base, proto, fiber, grid))
+        assert _outcome(lambda: _sweep_lines(spec, base, proto, fiber, grid)) == expected
+
+    @staticmethod
+    def _config(variable, start, stop, points, scale, trust_cases):
+        return POINT_CONFIG + (f"\n[sweep]\nvariable = {variable}\nstart = {start}\nstop = {stop}\n"
+                               f"points = {points}\nscale = {scale}\ntrust_cases = {trust_cases}\n")
+
+    def test_first_row_names_a_negative_start(self, tmp_path, capsys):
+        cfg = write(tmp_path, "neg.ini", self._config("xi_ch", -0.1, 0.1, 5, "linear",
+                                                      "untrusted_all, trusted_receiver"))
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == "invalid input: xi_ch must be finite and >= 0, got -0.1\n"
+        assert not out.exists()
+
+    def test_first_failing_row_wins_across_trust_cases(self, tmp_path, capsys):
+        # trusted_receiver fails from v_mod = 1e17 on and untrusted_all already
+        # at 1e16: the row of the lower value comes first, although its trust
+        # case comes second
+        cfg = write(tmp_path, "vmod.ini", self._config("v_mod", 1e14, 1e17, 4, "log",
+                                                       "trusted_receiver, untrusted_all"))
+        base = LinkParams(v_mod=1e16, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1,
+                          detection=Detection.HETERODYNE, trust=Trust.TRUSTED_RECEIVER)
+        proto = ProtocolParams(beta=0.95)
+        evaluate(base, proto)
+        with pytest.raises(PhysicalityError):
+            evaluate(replace(base, v_mod=1e17), proto)
+        with pytest.raises(PhysicalityError) as untrusted:
+            evaluate(replace(base, trust=Trust.UNTRUSTED_ALL), proto)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {untrusted.value}\n"
+        assert not out.exists()
+
+
 class TestOptimize:
     def test_vmod_boundary_flag_on_perfect_link(self, tmp_path, capsys):
         cfg = write(
@@ -469,10 +567,21 @@ GOLDEN = [
     (["sweep", "--config", "configs/distance_sweep.ini"], "golden_sweep_distance.csv"),
 ]
 
+# Non-optimized sweeps: every sweep variable, both detections, all three
+# trust cases, with and without f_sym, and grids that start at zero noise
+# or end at t_rec = 1. Captured from the per-row evaluation before sweeps
+# were evaluated as arrays.
+GOLDEN_SWEEPS = [
+    (["sweep", "--config", f"tests/data/sweep_{variable}.ini", "--detection", detection],
+     f"golden_sweep_{variable}_{detection}.csv")
+    for variable in ("distance_km", "xi_rec", "t_rec", "xi_pr", "xi_ch", "v_mod")
+    for detection in ("hom", "het")
+]
 
-@pytest.mark.parametrize("argv, golden", GOLDEN, ids=[g for _, g in GOLDEN])
+
+@pytest.mark.parametrize("argv, golden", GOLDEN + GOLDEN_SWEEPS, ids=[g for _, g in GOLDEN + GOLDEN_SWEEPS])
 def test_shipped_configs_match_golden_bytes(tmp_path, argv, golden):
-    argv = [str(ROOT / a) if a.startswith("configs/") else a for a in argv]
+    argv = [str(ROOT / a) if a.startswith(("configs/", "tests/")) else a for a in argv]
     out = tmp_path / golden
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()

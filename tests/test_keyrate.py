@@ -17,7 +17,7 @@ from cvrate import (
 )
 from cvrate.keyrate import mutual_information, snr
 from cvrate.cloner import _args
-from cvrate.keyrate import _secret_fraction
+from cvrate.keyrate import _secret_fraction, _swept_rates
 
 
 def make(v_mod=4.0, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1, xi_pr=0.0,
@@ -166,3 +166,102 @@ class TestFloatProbe:
                  detection=detection, trust=trust)
         expected = _outcome(lambda: evaluate(p, ProtocolParams(beta=beta)).secret_fraction)
         assert _outcome(lambda: _secret_fraction(beta, *_args(p))) == expected
+
+
+def _rows_against_evaluate(p, field, values, beta=0.95):
+    """Check every row _swept_rates gives numbers for against evaluate, bit
+    for bit; return the indices it leaves to the float path."""
+    proto = ProtocolParams(beta=beta)
+    rows = _swept_rates(beta, _args(p), field, values)
+    assert len(rows) == len(values)
+    for value, row in zip(values, rows):
+        if row is not None:
+            res = evaluate(replace(p, **{field: value}), proto)  # a row with numbers is one evaluate accepts
+            assert repr(row) == repr([res.snr, res.i_ab, res.chi_eb, res.secret_fraction])
+    return [i for i, row in enumerate(rows) if row is None]
+
+
+class TestSweptRates:
+    """A sweep grid in one pass through the closed forms, the swept field a
+    gaussian.Column: every row the pass gives numbers for has evaluate's
+    bits, and every row evaluate rejects is left to the float path."""
+
+    transmittance = st.one_of(st.floats(min_value=1e-12, max_value=1.0),
+                              st.sampled_from([1.0, 1.0 - 1e-12, 1.0 - 1e-7, 1e-200]))
+    noise = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=10.0),
+                      st.sampled_from([1e-3, 1e-2]))
+    modulation = st.one_of(st.floats(min_value=1e-6, max_value=1e6), st.sampled_from([1e-3, 1e16, 1e19]))
+    invalid = st.sampled_from([-0.1, -0.0, math.nan, math.inf, 1.5])
+    values = {
+        "v_mod": st.one_of(modulation, invalid),
+        "t_ch": st.one_of(transmittance, invalid, st.just(0.0)),
+        "xi_ch": st.one_of(noise, invalid),
+        "t_rec": st.one_of(transmittance, invalid, st.just(0.0)),
+        "xi_rec": st.one_of(noise, invalid),
+        "xi_pr": st.one_of(noise, invalid),
+    }
+
+    @given(st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_rows_match_evaluate_bit_for_bit(self, data):
+        p = make(v_mod=data.draw(self.modulation), t_ch=data.draw(self.transmittance),
+                 xi_ch=data.draw(self.noise), t_rec=data.draw(self.transmittance),
+                 xi_rec=data.draw(self.noise), xi_pr=data.draw(self.noise),
+                 detection=data.draw(st.sampled_from(Detection)), trust=data.draw(st.sampled_from(Trust)))
+        field = data.draw(st.sampled_from(sorted(self.values)))
+        values = data.draw(st.lists(self.values[field], min_size=2, max_size=12))
+        _rows_against_evaluate(p, field, values, beta=data.draw(st.floats(min_value=0.0, max_value=1.0)))
+
+    @pytest.mark.parametrize("detection, trust", [(Detection.HETERODYNE, Trust.TRUSTED_RECEIVER),
+                                                  (Detection.HOMODYNE, Trust.TRUSTED_RECEIVER),
+                                                  (Detection.HETERODYNE, Trust.TRUSTED_RECEIVER_AND_PREPARATION)])
+    def test_snap_band_is_clamped_on_the_column(self, detection, trust):
+        # noiseless links: one eigenvalue of a pair is 1 and rounds to just below it
+        p = make(v_mod=1e-3, t_ch=0.3, xi_ch=0.0, t_rec=0.5, xi_rec=0.0, detection=detection, trust=trust)
+        values = [0.4, 0.45, 0.5, 0.55, 0.6]
+        assert _rows_against_evaluate(p, "t_rec", values) == []
+        proto = ProtocolParams(beta=0.95)
+        assert all(min(evaluate(replace(p, t_rec=t), proto).eigs) == 1.0 for t in values)
+
+    def test_untrusted_heterodyne_unit_eigenvalue(self):
+        # the folded conditional pair holds an eigenvalue that is exactly 1 in
+        # exact arithmetic; it rounds to either side of 1 from row to row
+        p = make(t_ch=0.3, xi_ch=0.02, t_rec=0.7, xi_rec=0.05, trust=Trust.UNTRUSTED_ALL)
+        values = [0.001 * k for k in range(1, 41)]
+        assert _rows_against_evaluate(p, "xi_ch", values) == []
+        proto = ProtocolParams(beta=0.95)
+        last = [evaluate(replace(p, xi_ch=x), proto).eigs[3] for x in values]
+        assert all(abs(nu - 1.0) < 1e-15 for nu in last)
+        assert {nu == 1.0 for nu in last} == {True, False}  # snapped rows and rows just above 1
+
+    def test_channel_noise_cap_rows_go_to_the_float_path(self):
+        p = make(t_ch=1.0 - 1e-6, xi_ch=0.001)
+        values = [0.001, 0.005, 0.02, 0.05]  # W_ch of about 1e3, 5e3, 2e4 and 5e4 SNU
+        assert _rows_against_evaluate(p, "xi_ch", values) == [2, 3]
+        with pytest.raises(DomainError, match="beyond the supported"):
+            evaluate(replace(p, xi_ch=0.02), ProtocolParams(beta=0.95))
+
+    def test_underflowing_end_to_end_transmittance(self):
+        p = make(t_ch=1e-200, trust=Trust.UNTRUSTED_ALL)
+        assert _rows_against_evaluate(p, "t_rec", [1e-200, 1e-100, 0.5]) == [0]
+        with pytest.raises(DomainError, match=r"t_ch must lie in \(0, 1\], got 0.0"):
+            evaluate(replace(p, t_rec=1e-200), ProtocolParams(beta=0.95))
+
+    @pytest.mark.parametrize("field", ["xi_ch", "xi_rec", "xi_pr"])
+    @pytest.mark.parametrize("trust", list(Trust))
+    def test_zero_noise_row(self, field, trust):
+        p = make(xi_pr=0.05, trust=trust)
+        redo = _rows_against_evaluate(p, field, [0.0, 0.01, 0.02, 0.03])
+        assert set(redo) <= {0}
+
+    @pytest.mark.parametrize("field, values", [("t_ch", [0.5, -0.1, 0.0, 1.5, math.nan]),
+                                               ("xi_rec", [0.1, -0.1, math.inf, math.nan])])
+    def test_values_linkparams_rejects_go_to_the_float_path(self, field, values):
+        assert _rows_against_evaluate(make(), field, values) == list(range(1, len(values)))
+
+    @pytest.mark.parametrize("detection", list(Detection))
+    @pytest.mark.parametrize("trust", list(Trust))
+    def test_typical_grid_needs_no_float_path(self, detection, trust):
+        p = make(xi_pr=0.05, detection=detection, trust=trust)
+        grid = [10.0 ** (-0.02 * d) for d in range(1, 81)]  # 1 to 80 km of 0.2 dB/km fibre
+        assert _rows_against_evaluate(p, "t_ch", grid) == []

@@ -83,3 +83,23 @@ def test_traced_cli_call_is_counted(tracer, capsys):
     assert metrics["keyrate.evaluate_calls"] == 1
     assert metrics["cloner.holevo_calls"] >= 1
     assert metrics["cloner.linkparams_built"] >= 1
+
+
+def test_traced_sweep_builds_one_link_plus_the_redone_rows(tracer, tmp_path, monkeypatch):
+    # a non-optimized sweep runs each trust case's grid as arrays: only the
+    # config's link and the rows left to the float path build a LinkParams
+    redone = []
+    swept_rates = cli._swept_rates
+
+    def spy(*args):
+        rows = swept_rates(*args)
+        redone.extend(row for row in rows if row is None)
+        return rows
+
+    monkeypatch.setattr(cli, "_swept_rates", spy)
+    config = ROOT / "tests" / "data" / "sweep_t_rec.ini"  # ends at t_rec = 1
+    tracer.active = True
+    assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 0
+    tracer.active = False
+    assert redone
+    assert tracer.layer_metrics()["cloner.linkparams_built"] == 1 + len(redone)
