@@ -9,6 +9,10 @@ output come out as ``xi`` exactly. Trusted devices are excluded from the
 eavesdropper's side of the bookkeeping but still shape the receiver's
 measurement statistics.
 
+The module holds the link records and the closed forms, and builds no
+covariance matrix: the model's matrix states belong to the oracle in
+:mod:`cvrate.purification`.
+
 Each closed form is written once: ``_noise_model``, ``_fold`` (the untrusted
 receiver fold), ``_pre_pair``, ``_het_pair`` and ``_hom_pair``, combined by
 ``_holevo``. The public functions pass a ``LinkParams`` through ``_args``;
@@ -30,25 +34,12 @@ import enum
 import math
 from dataclasses import dataclass, replace
 
-from .errors import DomainError, PhysicalityError, UsageError
-from .gaussian import (
-    Column,
-    CovMatrix,
-    apply_symplectic,
-    beamsplitter,
-    clamp_spectrum,
-    direct_sum,
-    epr_state,
-    thermal_state,
-    two_mode_eigs,
-    two_mode_state,
-    von_neumann_entropy,
-)
+from .errors import DomainError, PhysicalityError
+from .gaussian import Column, clamp_spectrum, two_mode_eigs, von_neumann_entropy
 
 # Unit transmittance with nonzero noise would make the source variance
 # W = xi / (1 - T) + 1 singular; the open port is kept at least this wide.
 _MIN_OPEN_PORT = 1e-12
-
 
 # Largest channel noise-source variance the closed forms evaluate accurately.
 _MAX_W_CH = 1e4
@@ -204,7 +195,7 @@ def noise_source_variances(params: LinkParams) -> tuple[float, float]:
     beyond 1e4 SNU (channel noise with almost no channel loss) is rejected
     because the conditional-spectrum formulas degrade there.
     """
-    return _model(params)[3:5]
+    return _noise_model(*_args(params))[3:5]
 
 
 def _args(params: LinkParams) -> tuple:
@@ -213,15 +204,10 @@ def _args(params: LinkParams) -> tuple:
             params.detection, params.trust)
 
 
-def _model(params: LinkParams) -> tuple[float, float, float, float, float, float]:
-    """Quantities the noise model is built from, with transmittances clamped
-    consistently: (V, t_ch, t_rec, W_ch, W_rec, V_B)."""
-    return _noise_model(*_args(params))[:6]
-
-
 def _noise_model(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float,
                  xi_pr: float, detection: Detection, trust: Trust) -> tuple[float, ...]:
-    # _model's quantities, and the channel noise attributed to the eavesdropper
+    # (V, t_ch, t_rec, W_ch, W_rec, V_B, xi_ch attributed to the eavesdropper),
+    # transmittances clamped consistently; V_B is the receiver quadrature variance
     v, xi_ch = _effective(v_mod, t_ch, xi_ch, xi_pr, trust)
     t_ch_given, t_ch = t_ch, _clamped_t(t_ch, xi_ch)
     t_rec = _clamped_t(t_rec, xi_rec)
@@ -239,11 +225,6 @@ def _noise_model(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: 
     w_rec = 1.0 if xi_rec == 0.0 else 1.0 + xi_rec / (1.0 - t_rec)
     v_b = t_ch * t_rec * (v - 1.0) + 1.0 + t_rec * xi_ch + xi_rec
     return v, t_ch, t_rec, w_ch, w_rec, v_b, xi_ch
-
-
-def bob_variance(params: LinkParams) -> float:
-    """Receiver quadrature variance T_tot (V - 1) + 1 + xi_tot (same for q and p)."""
-    return _model(params)[5]
 
 
 def _fold(v_mod: float, t_tot: float, xi_tot: float, detection: Detection) -> tuple:
@@ -265,35 +246,6 @@ def receiver_folded(params: LinkParams) -> LinkParams:
     t_ch, xi_ch, t_rec, xi_rec, xi_pr, _, trust = _fold(params.v_mod, params.t_tot, params.xi_tot,
                                                        params.detection)
     return replace(params, t_ch=t_ch, xi_ch=xi_ch, t_rec=t_rec, xi_rec=xi_rec, xi_pr=xi_pr, trust=trust)
-
-
-def assemble_and_propagate(params: LinkParams) -> CovMatrix:
-    """Five-mode state after both beamsplitters.
-
-    Mode order: (A, B, E1, E2, R) = transmitter arm, receiver arm, the two
-    channel-EPR modes, and the receiver thermal mode. The channel
-    beamsplitter mixes B with E1, the receiver beamsplitter mixes B with R.
-    Preparation noise enters through the variance substitutions, never as a
-    sixth mode.
-    """
-    v, t_ch, t_rec, w_ch, w_rec, _ = _model(params)
-    initial = direct_sum([epr_state(v), epr_state(w_ch), thermal_state(w_rec)])
-    bs_ch = beamsplitter(5, 1, 2, t_ch)
-    bs_rec = beamsplitter(5, 1, 4, t_rec)
-    return apply_symplectic(bs_rec @ bs_ch, initial)
-
-
-def eve_state(params: LinkParams) -> CovMatrix:
-    """Two-mode state held by the eavesdropper after the channel beamsplitter.
-
-    Closed form: diagonal blocks ((1 - t_ch) V + t_ch W_ch) and W_ch, with
-    sqrt(t_ch (W_ch**2 - 1)) sigma_z correlations. Its entropy equals the
-    entropy of the transmitter-receiver state under trusted-receiver
-    bookkeeping.
-    """
-    v, t_ch, _, w_ch, _, _ = _model(params)
-    c = math.sqrt(t_ch * (w_ch * w_ch - 1.0))
-    return two_mode_state((1.0 - t_ch) * v + t_ch * w_ch, w_ch, c)
 
 
 def _clamped(a: float, b: float, xp) -> tuple[float, float]:
@@ -350,35 +302,11 @@ def _hom_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
     return _clamped(nus[0], nus[1], xp)
 
 
-def eve_conditional_het(params: LinkParams) -> tuple[float, float]:
-    """Eavesdropper symplectic eigenvalues after a heterodyne measurement.
-
-    Treats the channel/receiver split as given; fold the receiver into the
-    channel first (``receiver_folded``) for fully untrusted bookkeeping.
-    """
-    if params.detection is not Detection.HETERODYNE:
-        raise UsageError("link is configured for homodyne detection; use eve_conditional_hom")
-    return _het_pair(_noise_model(*_args(params)))
-
-
-def eve_conditional_hom(params: LinkParams) -> tuple[float, float]:
-    """Eavesdropper symplectic eigenvalues after a homodyne measurement.
-
-    The conditioned 4x4 state is anisotropic, but squaring its spectral
-    matrix and regrouping rows reduces the problem to one 2x2 block whose
-    eigenvalues are the squared symplectic eigenvalues. q- and p-measurement
-    give the same spectrum.
-    """
-    if params.detection is not Detection.HOMODYNE:
-        raise UsageError("link is configured for heterodyne detection; use eve_conditional_het")
-    return _hom_pair(_noise_model(*_args(params)))
-
-
 def _pre_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
-    # two_mode_eigs of the eve_state entries, with the discriminant expanded
-    # into a form free of cancellation, (xV)^2 + 2(2-x)V s + s^2 + 4(1-x) with
-    # x = 1 - t_ch and s = xi_ch + x = x W_ch, so the pair stays accurate even
-    # when W_ch is many orders of magnitude above shot noise
+    # two_mode_eigs of the purification.eve_state entries, with the discriminant
+    # expanded into a form free of cancellation, (xV)^2 + 2(2-x)V s + s^2 + 4(1-x)
+    # with x = 1 - t_ch and s = xi_ch + x = x W_ch, so the pair stays accurate
+    # even when W_ch is many orders of magnitude above shot noise
     v, t_ch, _, _, _, _, xi_ch = model
     x = 1.0 - t_ch
     s = xi_ch + x

@@ -70,6 +70,9 @@ class SweepSpec:
             raise ConfigError("log-scaled sweeps need start > 0")
         if not self.trust_cases:
             raise ConfigError("sweep needs at least one trust case")
+        for i, case in enumerate(self.trust_cases):
+            if case in self.trust_cases[:i]:
+                raise ConfigError(f"sweep.trust_cases lists {case.value!r} more than once")
         if self.variable == "v_mod" and self.optimize_vmod:
             raise ConfigError("cannot sweep v_mod and optimize it at the same time")
 
@@ -237,6 +240,10 @@ class OptimizeOptions:
                 raise ConfigError(f"optimize.{key} must be finite, got {value}")
         if not 0.0 < self.t_rec_floor <= 1.0:
             raise ConfigError(f"optimize.t_rec_floor must lie in (0, 1], got {self.t_rec_floor}")
+        if not 0.0 < self.vmod_lo:
+            raise ConfigError(f"optimize.vmod_lo must be positive, got {self.vmod_lo}")
+        if not self.vmod_lo < self.vmod_hi:
+            raise ConfigError(f"optimize.vmod_hi must exceed vmod_lo = {self.vmod_lo}, got {self.vmod_hi}")
 
 
 def optimize_from_config(cfg: configparser.ConfigParser) -> OptimizeOptions:

@@ -127,14 +127,10 @@ class SympMatrix:
         return f"SympMatrix(n_modes={self.n_modes})"
 
 
-def symplectic_form(n_modes: int) -> np.ndarray:
-    """Block-diagonal symplectic form: n copies of [[0, 1], [-1, 0]]."""
-    return _symplectic_form(n_modes).copy()
-
-
 @functools.lru_cache(maxsize=8)
 def _symplectic_form(n_modes: int) -> np.ndarray:
-    # shared by every internal caller, hence read-only
+    # block-diagonal symplectic form, n copies of [[0, 1], [-1, 0]]; shared
+    # by every caller, hence read-only
     if n_modes < 1:
         raise UsageError("n_modes must be at least 1")
     omega = np.zeros((2 * n_modes, 2 * n_modes))

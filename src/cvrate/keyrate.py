@@ -86,12 +86,6 @@ def snr(params: LinkParams) -> float:
     return _information(*_args(params))[0]
 
 
-def mutual_information(params: LinkParams) -> float:
-    """Mutual information of transmitter and receiver in bits/symbol,
-    ``mu/2 * log2(1 + SNR)``."""
-    return _information(*_args(params))[1]
-
-
 def _secret_fraction(beta: float, *link) -> float:
     # the optimizer's probe: evaluate(...).secret_fraction on floats, bit for bit
     return beta * _information(*link)[1] - _holevo(*link)[-1]

@@ -19,7 +19,7 @@ from typing import Callable
 
 import numpy as np
 
-from .cloner import Detection, LinkParams, Trust, _args, _xi_tot
+from .cloner import LinkParams, Trust, _args, _xi_tot
 from .errors import ConstraintError, DomainError, UsageError
 from .keyrate import ProtocolParams, RateResult, _secret_fraction, evaluate, snr
 
@@ -119,37 +119,17 @@ def optimize_vmod(
         The optimizing v_mod (relative tolerance 1e-6), the rate evaluated
         there, and a flag when the optimum landed on a search bound.
     """
-    lo, hi = bounds
-    if not 0.0 < lo < hi:
-        raise UsageError(f"v_mod bounds must satisfy 0 < lo < hi, got {bounds}")
-
     link = _args(params)[1:]
 
     def objective(v: float) -> float:
         return _secret_fraction(proto.beta, v, *link)
 
-    v_star, boundary = _golden_max(objective, lo, hi, prefer_high=False)
+    v_star, boundary = _golden_max(objective, *bounds, prefer_high=False)
     return VmodOptimum(
         v_mod=v_star,
         result=evaluate(replace(params, v_mod=v_star), proto),
         boundary=boundary,
     )
-
-
-def vmod_for_snr(params: LinkParams, snr_target: float) -> float:
-    """Modulation variance that hits the requested SNR exactly.
-
-    The excess-noise terms do not depend on v_mod, so the inversion is
-    closed-form: ``v_mod = snr_target * (mu + xi_tot) / T_tot``.
-    """
-    if snr_target < 0.0:
-        raise DomainError(f"snr_target must be >= 0, got {snr_target}")
-    return _vmod_for_snr(snr_target, *_args(params)[1:7])
-
-
-def _vmod_for_snr(snr_target: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float,
-                  xi_pr: float, detection: Detection) -> float:
-    return snr_target * (detection.mu + _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr)) / (t_ch * t_rec)
 
 
 def optimize_vmod_trec_snr_locked(
@@ -183,7 +163,9 @@ def optimize_vmod_trec_snr_locked(
 
     # every probe lies in [floor, t_cal], inside (0, 1]
     def implied_vmod(t: float) -> float:
-        return _vmod_for_snr(snr_target, t_ch, xi_ch, t, xi_rec, xi_pr, detection)
+        # the excess-noise terms do not depend on v_mod, so the SNR inverts
+        # exactly: v_mod = snr_target * (mu + xi_tot) / T_tot
+        return snr_target * (detection.mu + _xi_tot(t_ch, xi_ch, t, xi_rec, xi_pr)) / (t_ch * t)
 
     if implied_vmod(t_cal) > vmod_max:
         raise ConstraintError(

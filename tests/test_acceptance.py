@@ -25,15 +25,7 @@ from cvrate import (
     optimize_vmod,
     optimize_vmod_trec_snr_locked,
 )
-from cvrate.cloner import (
-    assemble_and_propagate,
-    effective_v,
-    effective_xi_ch,
-    eve_conditional_het,
-    eve_conditional_hom,
-    eve_state,
-    receiver_folded,
-)
+from cvrate.cloner import effective_v, effective_xi_ch, receiver_folded
 from cvrate.config import FiberModel
 from cvrate.gaussian import (
     Quadrature,
@@ -43,11 +35,11 @@ from cvrate.gaussian import (
     symplectic_eigenvalues,
     von_neumann_entropy,
 )
-from cvrate.keyrate import mutual_information
-from cvrate.optimize import vmod_for_snr
 from cvrate.purification import (
     ab_matrix_trusted,
     ab_matrix_untrusted,
+    assemble_and_propagate,
+    eve_state,
     oracle_conditional_entropy,
     oracle_holevo,
     purified_total_state,
@@ -124,10 +116,7 @@ def test_criterion_03_closed_forms_match_generic_solver():
     worst = 0.0
     for p in GRID:
         q = receiver_folded(p) if p.trust is Trust.UNTRUSTED_ALL else p
-        if q.detection is Detection.HETERODYNE:
-            closed = eve_conditional_het(q)
-        else:
-            closed = eve_conditional_hom(q)
+        closed = holevo_bound(q)[0].nu_post
         generic = _pipeline_conditional(q)
         worst = max(worst, float(np.max(np.abs(np.sort(closed) - np.sort(generic)))))
     report(3, "conditional eigenvalues match the ten-by-ten pipeline", worst < 1e-9,
@@ -193,12 +182,12 @@ def test_criterion_07_trivial_limits():
     for det, trust in itertools.product(Detection, Trust):
         p = LinkParams(v_mod=0.0, t_ch=0.37, xi_ch=0.0, t_rec=0.71, xi_rec=0.0,
                        detection=det, trust=trust)
-        worst_i = max(worst_i, mutual_information(p))
+        worst_i = max(worst_i, evaluate(p, PROTO).i_ab)
         _, chi = holevo_bound(p)
         worst_chi_unmod = max(worst_chi_unmod, chi)
         # modulation-free mutual information vanishes regardless of noise
         noisy = replace(p, xi_ch=0.2, xi_rec=0.1)
-        worst_i = max(worst_i, mutual_information(noisy))
+        worst_i = max(worst_i, evaluate(noisy, PROTO).i_ab)
 
     ok = worst_chi_clean < 1e-9 and worst_i == 0.0 and worst_chi_unmod < 1e-9
     report(7, "transparent channel and zero modulation give nothing away", ok,
@@ -262,7 +251,8 @@ def test_criterion_10_snr_locked_receiver_detuning():
 
     def r_vmod_only(L):
         p = LinkParams(t_ch=FIBER.t_ch(L), **base)
-        return evaluate(replace(p, v_mod=vmod_for_snr(p, 1.0)), PROTO).secret_fraction
+        # the exact SNR inversion, v_mod = SNR (mu + xi_tot) / T_tot
+        return evaluate(replace(p, v_mod=(p.mu + p.xi_tot) / p.t_tot), PROTO).secret_fraction
 
     def r_joint(L):
         p = LinkParams(t_ch=FIBER.t_ch(L), **base)

@@ -292,6 +292,17 @@ class TestSweep:
         assert captured.err.count("\n") == 1
         assert not (tmp_path / "x.csv").exists()
 
+    def test_repeated_trust_case_is_rejected(self, tmp_path, capsys):
+        text = SWEEP_CONFIG.replace("points = 8", "points = 3").replace(
+            "trust_cases = untrusted_all, trusted_receiver",
+            "trust_cases = untrusted_all, trusted_receiver, Untrusted_All",
+        )
+        cfg = write(tmp_path, "twice.ini", text)
+        assert main(["sweep", "--config", cfg, "--out", str(tmp_path / "x.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == "configuration error: sweep.trust_cases lists 'untrusted_all' more than once\n"
+        assert not (tmp_path / "x.csv").exists()
+
     def test_infinite_stop_prints_one_stderr_line(self, tmp_path):
         cfg = write(tmp_path, "bad.ini", SWEEP_CONFIG.replace("stop = 50", "stop = inf"))
         proc = run_cli("sweep", "--config", cfg, "--out", str(tmp_path / "x.csv"))
@@ -536,6 +547,24 @@ snr_target = 1.0
         assert captured.err == (
             f"configuration error: optimize.t_rec_floor must lie in (0, 1], got {float(value)}\n"
         )
+
+    @pytest.mark.parametrize("mode", ["vmod", "vmod_trec_snr"])
+    @pytest.mark.parametrize("line, message", [
+        ("vmod_hi = -5", "optimize.vmod_hi must exceed vmod_lo = 0.001, got -5.0"),
+        ("vmod_hi = 0", "optimize.vmod_hi must exceed vmod_lo = 0.001, got 0.0"),
+        ("vmod_hi = 1e-3", "optimize.vmod_hi must exceed vmod_lo = 0.001, got 0.001"),
+        ("vmod_lo = 2e3", "optimize.vmod_hi must exceed vmod_lo = 2000.0, got 1000.0"),
+        ("vmod_lo = 0", "optimize.vmod_lo must be positive, got 0.0"),
+        ("vmod_lo = -1", "optimize.vmod_lo must be positive, got -1.0"),
+    ], ids=["hi-negative", "hi-zero", "hi-equal-lo", "lo-above-hi", "lo-zero", "lo-negative"])
+    def test_vmod_bounds_out_of_order_exit_2(self, tmp_path, capsys, line, message, mode):
+        key = line.split(" = ")[0]
+        text = re.sub(rf"^{key} = .*$", line, (ROOT / "configs" / "snr_locked.ini").read_text(), flags=re.M)
+        cfg = write(tmp_path, "bad.ini", text)
+        assert main(["optimize", "--config", cfg, "--mode", mode]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == f"configuration error: {message}\n"
 
     def test_infinite_vmod_cap_prints_one_stderr_line(self, tmp_path):
         text = (ROOT / "configs" / "snr_locked.ini").read_text().replace("vmod_hi = 1e3", "vmod_hi = inf")

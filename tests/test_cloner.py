@@ -10,16 +10,13 @@ from cvrate import (
     DomainError,
     LinkParams,
     Trust,
-    UsageError,
     holevo_bound,
 )
 from cvrate.cloner import (
-    assemble_and_propagate,
+    _args,
+    _noise_model,
     effective_v,
     effective_xi_ch,
-    eve_conditional_het,
-    eve_conditional_hom,
-    eve_state,
     noise_source_variances,
     receiver_folded,
 )
@@ -33,7 +30,7 @@ from cvrate.gaussian import (
     two_mode_eigs,
     von_neumann_entropy,
 )
-from cvrate.cloner import bob_variance
+from cvrate.purification import assemble_and_propagate, eve_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -142,7 +139,7 @@ class TestPropagation:
 
     def test_receiver_variance_value(self):
         p = make()
-        assert bob_variance(p) == pytest.approx(2.33, abs=1e-14)
+        assert _noise_model(*_args(p))[5] == pytest.approx(2.33, abs=1e-14)
         total = assemble_and_propagate(p)
         assert total.data[2, 2] == pytest.approx(2.33, abs=1e-12)
 
@@ -214,26 +211,20 @@ def _pipeline_conditional_spectrum(p, quad=Quadrature.Q):
 
 class TestConditionalClosedForms:
     def test_perfect_link_heterodyne(self):
-        assert eve_conditional_het(perfect()) == (1.0, 1.0)
+        assert holevo_bound(perfect())[0].nu_post == (1.0, 1.0)
 
     def test_perfect_link_homodyne(self):
-        assert eve_conditional_hom(perfect(detection=Detection.HOMODYNE)) == (1.0, 1.0)
-
-    def test_detection_mismatch_rejected(self):
-        with pytest.raises(UsageError):
-            eve_conditional_het(make(detection=Detection.HOMODYNE))
-        with pytest.raises(UsageError):
-            eve_conditional_hom(make(detection=Detection.HETERODYNE))
+        assert holevo_bound(perfect(detection=Detection.HOMODYNE))[0].nu_post == (1.0, 1.0)
 
     def test_heterodyne_matches_generic_solver(self):
         p = make()
-        closed = np.sort(eve_conditional_het(p))
+        closed = np.sort(holevo_bound(p)[0].nu_post)
         generic = np.sort(_pipeline_conditional_spectrum(p))
         assert np.allclose(closed, generic, atol=1e-12)
 
     def test_homodyne_matches_generic_solver(self):
         p = make(detection=Detection.HOMODYNE)
-        closed = np.sort(eve_conditional_hom(p))
+        closed = np.sort(holevo_bound(p)[0].nu_post)
         generic = np.sort(_pipeline_conditional_spectrum(p))
         assert np.allclose(closed, generic, atol=1e-12)
 
@@ -247,10 +238,8 @@ class TestConditionalClosedForms:
     def test_conditioned_block_entries_match_coefficients(self):
         # the conditioned eavesdropper block itself, entry by entry, against
         # the coefficient set the quadratic closed forms are built from
-        from cvrate.cloner import _model
-
         p = make(detection=Detection.HOMODYNE)
-        v, t_ch, t_rec, w_ch, w_rec, v_b = _model(p)
+        v, t_ch, t_rec, w_ch, w_rec, v_b, _ = _noise_model(*_args(p))
         cross = math.sqrt(t_ch * (w_ch**2 - 1))
         refl = t_rec * v + (1 - t_rec) * w_rec
         e1 = v + t_ch * (w_ch - v) * refl / v_b
@@ -295,10 +284,7 @@ class TestConditionalClosedForms:
     def test_closed_forms_match_pipeline_on_mini_grid(self):
         for p in MINI_GRID:
             q = receiver_folded(p) if p.trust is Trust.UNTRUSTED_ALL else p
-            if q.detection is Detection.HETERODYNE:
-                closed = eve_conditional_het(q)
-            else:
-                closed = eve_conditional_hom(q)
+            closed = holevo_bound(q)[0].nu_post
             generic = _pipeline_conditional_spectrum(q)
             assert np.allclose(np.sort(closed), np.sort(generic), atol=1e-9)
 
@@ -409,7 +395,7 @@ class TestReceiverFolded:
         q = receiver_folded(p)
         assert q.t_tot == pytest.approx(p.t_tot)
         assert q.xi_tot == pytest.approx(p.xi_tot)
-        assert bob_variance(q) == pytest.approx(bob_variance(p), abs=1e-12)
+        assert _noise_model(*_args(q))[5] == pytest.approx(_noise_model(*_args(p))[5], abs=1e-12)
 
     def test_fold_is_transparent_receiver(self):
         q = receiver_folded(make())

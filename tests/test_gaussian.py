@@ -24,13 +24,12 @@ from cvrate.gaussian import (
     extract_modes,
     mode_permutation,
     symplectic_eigenvalues,
-    symplectic_form,
     thermal_state,
     two_mode_eigs,
     vacuum_state,
     von_neumann_entropy,
 )
-from cvrate.gaussian import CLAMP_TOL, PHYSICALITY_TOL, clamp_spectrum, two_mode_state
+from cvrate.gaussian import CLAMP_TOL, PHYSICALITY_TOL, _symplectic_form, clamp_spectrum, two_mode_state
 
 SZ = np.diag([1.0, -1.0])
 
@@ -57,17 +56,17 @@ def random_state_with_spectrum(rng, n_modes):
 
 class TestSymplecticForm:
     def test_single_mode(self):
-        assert np.array_equal(symplectic_form(1), np.array([[0.0, 1.0], [-1.0, 0.0]]))
+        assert np.array_equal(_symplectic_form(1), np.array([[0.0, 1.0], [-1.0, 0.0]]))
 
     def test_two_modes_block_structure(self):
-        omega = symplectic_form(2)
+        omega = _symplectic_form(2)
         assert np.array_equal(omega[:2, :2], [[0, 1], [-1, 0]])
         assert np.array_equal(omega[2:, 2:], [[0, 1], [-1, 0]])
         assert np.all(omega[:2, 2:] == 0)
         assert np.all(omega[2:, :2] == 0)
 
     def test_orthogonal_and_squares_to_minus_identity(self):
-        omega = symplectic_form(3)
+        omega = _symplectic_form(3)
         assert np.allclose(omega @ omega.T, np.eye(6))
         assert np.allclose(omega @ omega, -np.eye(6))
 
@@ -170,13 +169,8 @@ class TestSympMatrixInvariants:
 
     def test_product_of_beamsplitters(self):
         product = beamsplitter(3, 0, 1, 0.3) @ beamsplitter(3, 1, 2, 0.6)
-        omega = symplectic_form(3)
+        omega = _symplectic_form(3)
         assert np.max(np.abs(product.data @ omega @ product.data.T - omega)) < 1e-12
-
-    def test_symplectic_form_is_a_fresh_writable_array(self):
-        omega = symplectic_form(2)
-        omega[0, 1] = 5.0
-        assert symplectic_form(2)[0, 1] == 1.0
 
 
 # The operations below return their results without re-validating them. That
@@ -302,7 +296,7 @@ class TestBeamsplitter:
     @given(st.floats(min_value=0.0, max_value=1.0))
     def test_symplectic_invariant(self, t):
         bs = beamsplitter(3, 0, 2, t)
-        omega = symplectic_form(3)
+        omega = _symplectic_form(3)
         assert np.max(np.abs(bs.data @ omega @ bs.data.T - omega)) < 1e-12
 
 

@@ -15,7 +15,7 @@ from cvrate import (
     Trust,
     evaluate,
 )
-from cvrate.keyrate import mutual_information, snr
+from cvrate.keyrate import snr
 from cvrate.cloner import _args
 from cvrate.keyrate import _secret_fraction, _swept_rates
 
@@ -57,6 +57,10 @@ class TestSnr:
         p = make(v_mod=4.0, t_ch=0.3, xi_ch=0.2, t_rec=1.0, xi_rec=0.0,
                  detection=Detection.HETERODYNE)
         assert snr(p) == pytest.approx(0.3 * 4 / 2.2, abs=1e-14)
+
+
+def mutual_information(p):
+    return evaluate(p, ProtocolParams(beta=1.0)).i_ab
 
 
 class TestMutualInformation:

@@ -21,7 +21,6 @@ from cvrate import (
 )
 from cvrate.config import FiberModel
 from cvrate.keyrate import snr
-from cvrate.optimize import vmod_for_snr
 
 PROTO = ProtocolParams(beta=0.95)
 FIBER = FiberModel()
@@ -80,18 +79,22 @@ class TestOptimizeVmod:
             assert abs(math.log(opt.v_mod) - math.log(grid[best])) <= du
 
 
+def vmod_for_snr(p, target):
+    # the exact SNR inversion the SNR-locked search makes at every probe
+    return target * (p.mu + p.xi_tot) / p.t_tot
+
+
 class TestVmodForSnr:
     def test_arithmetic_inversion(self):
         # homodyne, T_tot = 0.3, xi_tot = 0.2 -> v_mod = 1 * 1.2 / 0.3 = 4
         p = make(t_ch=0.3, xi_ch=0.2, t_rec=1.0, xi_rec=0.0, detection=Detection.HOMODYNE)
         assert vmod_for_snr(p, 1.0) == pytest.approx(4.0, abs=1e-13)
+        # the search's optimum is that inversion at its t_rec, bit for bit
+        opt = optimize_vmod_trec_snr_locked(p, PROTO, 1.0)
+        assert opt.v_mod == vmod_for_snr(replace(p, t_rec=opt.t_rec), 1.0)
 
     def test_zero_target(self):
         assert vmod_for_snr(make(), 0.0) == 0.0
-
-    def test_negative_target_rejected(self):
-        with pytest.raises(DomainError):
-            vmod_for_snr(make(), -1.0)
 
     @pytest.mark.parametrize("target", [0.25, 1.0, 3.7])
     def test_round_trip(self, target):
@@ -104,6 +107,11 @@ class TestSnrLockedJointSearch:
     def test_requires_trusted_receiver(self):
         with pytest.raises(DomainError):
             optimize_vmod_trec_snr_locked(make(trust=Trust.UNTRUSTED_ALL), PROTO, 1.0)
+
+    @pytest.mark.parametrize("target", [0.0, -1.0])
+    def test_non_positive_target_rejected(self, target):
+        with pytest.raises(DomainError, match="snr_target must be positive"):
+            optimize_vmod_trec_snr_locked(make(), PROTO, target)
 
     def test_no_detuning_when_it_cannot_help(self):
         p = make(t_ch=FIBER.t_ch(5.0), xi_ch=0.01, t_rec=0.7, xi_rec=0.02,

@@ -1,3 +1,4 @@
+import ast
 import os
 import subprocess
 import sys
@@ -28,3 +29,35 @@ def test_all_names_exactly_the_public_non_module_bindings():
     )
     assert sorted(cvrate.__all__) == bound
     assert len(cvrate.__all__) == 18
+
+
+def test_closed_forms_build_no_matrix():
+    # cloner may take from gaussian only what the closed forms compute with;
+    # the matrix states of the link model belong to the oracle
+    tree = ast.parse((ROOT / "src" / "cvrate" / "cloner.py").read_text())
+    from_gaussian = {
+        alias.asname or alias.name
+        for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "gaussian"
+        for alias in node.names
+    }
+    assert from_gaussian == {"Column", "clamp_spectrum", "two_mode_eigs", "von_neumann_entropy"}
+    assert "gaussian" not in vars(cvrate.cloner)  # nor the module itself
+
+
+def test_test_only_helpers_are_gone():
+    import cvrate.cloner as cloner
+    import cvrate.gaussian as gaussian
+    import cvrate.keyrate as keyrate
+    import cvrate.optimize as optimize
+    import cvrate.purification as purification
+
+    gone = {
+        cloner: ("_model", "bob_variance", "eve_conditional_het", "eve_conditional_hom",
+                 "assemble_and_propagate", "eve_state"),
+        keyrate: ("mutual_information",),
+        optimize: ("vmod_for_snr",),
+        gaussian: ("symplectic_form",),
+        purification: ("purity_check",),
+    }
+    for module, names in gone.items():
+        assert [name for name in names if hasattr(module, name)] == [], module.__name__
