@@ -22,7 +22,8 @@ grid, the others staying floats. The steps that depend on the operand kind go
 through one seam: ``xp.sqrt`` and ``xp.log2`` (``xp`` is ``math`` on floats and
 ``Column`` on a column), ``x ** 2``, the branch conditions and
 ``clamp_spectrum``; ``Column`` documents how each keeps a row's bits equal to
-the float path's, and marks the rows it leaves to that path.
+the float path's, and marks the rows it leaves to that path. Every
+eigenvalue pair comes out larger first, on floats and on a column alike.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.
@@ -151,7 +152,7 @@ class EntropyPair:
     """Eavesdropper entropies before and after the receiver's measurement.
 
     ``nu_pre`` and ``nu_post`` hold the symplectic eigenvalue pairs behind
-    ``s_e`` and ``s_e_given_b`` (each sorted descending).
+    ``s_e`` and ``s_e_given_b``, each descending by construction.
     """
 
     s_e: float
@@ -162,9 +163,9 @@ class EntropyPair:
 
 def _effective(v_mod: float, t_ch: float, xi_ch: float, xi_pr: float, trust: Trust) -> tuple[float, float]:
     # (V, xi_ch) with the preparation noise attributed; see effective_v and effective_xi_ch
-    if xi_pr > 0.0 and trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION:
+    if trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION:
         return v_mod + 1.0 + xi_pr, xi_ch
-    return v_mod + 1.0, (xi_ch + t_ch * xi_pr if xi_pr > 0.0 else xi_ch)
+    return v_mod + 1.0, xi_ch + t_ch * xi_pr
 
 
 def effective_v(params: LinkParams) -> float:
@@ -249,8 +250,8 @@ def receiver_folded(params: LinkParams) -> LinkParams:
 
 
 def _clamped(a: float, b: float, xp) -> tuple[float, float]:
-    # clamp_spectrum holds the policy; a float pair at or above 1 needs none of it
-    if xp is Column or a < 1.0 or b < 1.0:
+    # clamp_spectrum holds the policy; a float pair a >= b >= 1 needs none of it
+    if xp is Column or b < 1.0:
         return clamp_spectrum((a, b))
     return a, b
 
@@ -267,9 +268,8 @@ def _het_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
     if disc < 0.0:
         raise PhysicalityError(f"conditional spectrum has negative discriminant {disc:.3e}")
     z = xp.sqrt(disc)
-    nu3 = (z + (e3 - e1)) / (2.0 * (v_b + 1.0))
-    nu4 = (z - (e3 - e1)) / (2.0 * (v_b + 1.0))
-    return _clamped(nu3, nu4, xp)
+    d = abs(e3 - e1)
+    return _clamped((z + d) / (2.0 * (v_b + 1.0)), (z - d) / (2.0 * (v_b + 1.0)), xp)
 
 
 def _hom_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
@@ -292,7 +292,7 @@ def _hom_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
     inner = (m11 - m22) ** 2 + 4.0 * m12 * m21
     if inner < -1e-12:
         raise PhysicalityError(f"conditional spectrum has negative radicand {inner:.3e}")
-    root = xp.sqrt(max(inner, 0.0))
+    root = xp.sqrt(max(inner, 0.0))  # >= 0, so the larger square comes first
     squares = [(m11 + m22 + root) / 2.0, (m11 + m22 - root) / 2.0]
     nus = []
     for sq in squares:
@@ -311,7 +311,7 @@ def _pre_pair(model: tuple[float, ...], xp=math) -> tuple[float, float]:
     x = 1.0 - t_ch
     s = xi_ch + x
     z = xp.sqrt((x * v) ** 2 + 2.0 * (2.0 - x) * v * s + s * s + 4.0 * (1.0 - x))
-    d = s - x * v  # difference of the diagonal entries
+    d = abs(s - x * v)  # difference of the diagonal entries
     return _clamped(0.5 * (z + d), 0.5 * (z - d), xp)
 
 
@@ -327,18 +327,12 @@ def _holevo(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float
         model = _noise_model(v_mod, t_ch, xi_ch, t_rec, xi_rec, xi_pr, detection, trust)
         pre = _pre_pair(model, xp)
     post = _het_pair(model, xp) if detection is Detection.HETERODYNE else _hom_pair(model, xp)
-
-    if xp is Column:  # so that each sort below takes one branch on every row
-        pre, post = Column.descending(*pre), Column.descending(*post)
-    # the same order sorted(..., reverse=True) gives, NaN included
-    nu_pre = (pre[1], pre[0]) if pre[0] < pre[1] else pre
-    nu_post = (post[1], post[0]) if post[0] < post[1] else post
-    s_e = von_neumann_entropy(nu_pre, xp)
-    s_e_given_b = von_neumann_entropy(nu_post, xp)
+    s_e = von_neumann_entropy(pre, xp)
+    s_e_given_b = von_neumann_entropy(post, xp)
     chi = s_e - s_e_given_b
     if chi < -1e-9:
         raise PhysicalityError(f"Holevo bound came out negative ({chi:.3e})")
-    return s_e, s_e_given_b, nu_pre, nu_post, max(chi, 0.0)
+    return s_e, s_e_given_b, pre, post, max(chi, 0.0)
 
 
 def holevo_bound(params: LinkParams) -> tuple[EntropyPair, float]:

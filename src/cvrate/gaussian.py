@@ -318,8 +318,8 @@ class Column(np.ndarray):
       kernel's ``xp``); ``log2`` calls ``math.log2`` per row, since
       ``np.log2`` rounds differently on some inputs;
     - a branch condition over a column follows the branch most pending rows
-      take; ``clamp_spectrum`` snaps a column row by row and ``descending``
-      orders a pair of columns row by row, so that neither splits a grid.
+      take; ``clamp_spectrum`` snaps a column row by row, so that it never
+      splits a grid.
 
     A row that takes another branch, or where the float path would raise,
     is marked in ``redo`` (shared by every column of one pass) for the
@@ -371,16 +371,6 @@ class Column(np.ndarray):
             rows = np.where(ok, rows, 1.0)
         return Column.of(list(map(math.log2, rows.tolist())), x.redo)
 
-    @staticmethod
-    def descending(a, b) -> tuple:
-        """A pair of columns in descending order row by row, a NaN row in the
-        order it came in, as the float path's sort leaves it; a pair of
-        floats as it came in."""
-        if not isinstance(a, Column):
-            return a, b
-        swap = a.view(np.ndarray) < b
-        return Column.of(np.where(swap, b, a), a.redo), Column.of(np.where(swap, a, b), a.redo)
-
     def clamped(self) -> "Column":
         """clamp_spectrum row by row: a row it would reject goes to ``redo``."""
         out = self.copy()
@@ -412,18 +402,19 @@ def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
 def two_mode_eigs(a: float, b: float, c: float, xp=math) -> tuple[float, float]:
     """Symplectic eigenvalues of [[a I, c sigma_z], [c sigma_z, b I]].
 
-    Returns ``(z + (b - a)) / 2`` and ``(z - (b - a)) / 2`` with
-    ``z = sqrt((a + b)**2 - 4 c**2)``; agrees with the generic solver on the
-    assembled 4x4 matrix. The same clamping policy as the generic solver is
-    applied to the results; a float pair at or above 1 skips it. ``xp`` is
-    ``math`` on floats and ``Column`` on a swept column.
+    Returns ``(z + d) / 2`` and ``(z - d) / 2``, the larger first, with
+    ``z = sqrt((a + b)**2 - 4 c**2)`` and ``d = |b - a|``; agrees with the
+    generic solver on the assembled 4x4 matrix. The same clamping policy as
+    the generic solver is applied to the results; a float pair at or above 1
+    skips it. ``xp`` is ``math`` on floats and ``Column`` on a swept column.
     """
     disc = (a + b) ** 2 - 4.0 * c * c
     if disc < 0.0:
         raise DomainError(f"negative discriminant {disc:.3e} for a={a}, b={b}, c={c}")
     z = xp.sqrt(disc)
-    nu1, nu2 = 0.5 * (z + (b - a)), 0.5 * (z - (b - a))
-    if xp is Column or nu1 < 1.0 or nu2 < 1.0:
+    d = abs(b - a)
+    nu1, nu2 = 0.5 * (z + d), 0.5 * (z - d)
+    if xp is Column or nu2 < 1.0:
         nu1, nu2 = clamp_spectrum((nu1, nu2))
     return nu1, nu2
 
@@ -480,17 +471,17 @@ def von_neumann_entropy(eigs: Iterable[float], xp=math) -> float:
     Each eigenvalue contributes
     ``(nu+1)/2 * log2((nu+1)/2) - (nu-1)/2 * log2((nu-1)/2)``; the second
     term is dropped for nu - 1 < 1e-12 (continuous limit of x log x).
-    Eigenvalues below 1 beyond rounding tolerance are rejected. ``xp`` is
-    ``math`` on floats and ``Column`` on swept columns.
+    Eigenvalues below 1 beyond rounding tolerance, NaN and infinity are
+    rejected. ``xp`` is ``math`` on floats and ``Column`` on swept columns.
     """
     total = 0.0
     for nu in eigs:
-        if nu < 1.0 - CLAMP_TOL:
-            raise DomainError(f"symplectic eigenvalue {nu} is below 1")
-        # x * log2(x), with the continuous limit 0 at x = 0
+        if not (1.0 - CLAMP_TOL <= nu < math.inf):
+            raise DomainError(f"symplectic eigenvalue {nu} is "
+                              + ("below 1" if nu < 1.0 else "not finite"))
         x = (nu + 1.0) / 2.0
-        total += x * xp.log2(x) if x > 0.0 else 0.0
+        total += x * xp.log2(x)
         if nu - 1.0 >= 1e-12:
             x = (nu - 1.0) / 2.0
-            total -= x * xp.log2(x) if x > 0.0 else 0.0
+            total -= x * xp.log2(x)
     return total

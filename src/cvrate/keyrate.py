@@ -86,9 +86,14 @@ def snr(params: LinkParams) -> float:
     return _information(*_args(params))[0]
 
 
-def _secret_fraction(beta: float, *link) -> float:
-    # the optimizer's probe: evaluate(...).secret_fraction on floats, bit for bit
-    return beta * _information(*link)[1] - _holevo(*link)[-1]
+def _rates(beta: float, *link) -> tuple[float, float, float, float]:
+    # (SNR, I_AB, chi, secret fraction) of a link as cloner._args gives it, bit
+    # for bit evaluate's; on floats, [3] is the optimizer's probe. A sweep
+    # appends the kernel's xp (Column) to ``link``: a keyword xp would cost
+    # every float probe 0.3 us or more
+    snr_value, i_ab = _information(*link)
+    chi = _holevo(*link)[-1]
+    return snr_value, i_ab, chi, beta * i_ab - chi
 
 
 def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> list[tuple | None]:
@@ -105,13 +110,11 @@ def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> l
     link = link[:index] + (Column.of(values, redo),) + link[index + 1:]
     with np.errstate(all="ignore"):
         try:
-            snr_value, i_ab = _information(*link, Column)
-            chi = _holevo(*link, Column)[-1]
+            rates = _rates(beta, *link, Column)
         except (ArithmeticError, ValueError, TypeError):
             # a branch most rows take raises, or a part of the link the
             # column does not reach is rejected: the float path decides
             return [None] * len(values)
-        rates = (snr_value, i_ab, chi, beta * i_ab - chi)
     table = np.empty((len(rates), len(values)))
     for out, rate in zip(table, rates):
         out[:] = rate  # a rate the column does not reach is a float

@@ -6,7 +6,7 @@ extremely flat optima that show up at long distances. Ties within 1e-10 of
 the maximum resolve to the least aggressive operating point: the smallest
 modulation variance, or the largest receiver transmittance.
 
-A probe is ``keyrate._secret_fraction`` on plain floats, bit for bit
+A probe is ``keyrate._rates(...)[3]`` on plain floats, bit for bit
 ``evaluate(...).secret_fraction`` without a ``LinkParams``, ``RateResult`` or
 numpy array; only a search's optimum goes through ``evaluate``.
 """
@@ -21,7 +21,7 @@ import numpy as np
 
 from .cloner import LinkParams, Trust, _args, _xi_tot
 from .errors import ConstraintError, DomainError, UsageError
-from .keyrate import ProtocolParams, RateResult, _secret_fraction, evaluate, snr
+from .keyrate import ProtocolParams, RateResult, _rates, evaluate, snr
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-10
@@ -122,7 +122,7 @@ def optimize_vmod(
     link = _args(params)[1:]
 
     def objective(v: float) -> float:
-        return _secret_fraction(proto.beta, v, *link)
+        return _rates(proto.beta, v, *link)[3]
 
     v_star, boundary = _golden_max(objective, *bounds, prefer_high=False)
     return VmodOptimum(
@@ -192,8 +192,8 @@ def optimize_vmod_trec_snr_locked(
         floor = t_cal * (1.0 - 1e-9)
 
     def objective(t: float) -> float:
-        return _secret_fraction(proto.beta, implied_vmod(t), t_ch, xi_ch, t, xi_rec, xi_pr,
-                                detection, trust)
+        return _rates(proto.beta, implied_vmod(t), t_ch, xi_ch, t, xi_rec, xi_pr,
+                      detection, trust)[3]
 
     t_star, boundary = _golden_max(objective, floor, t_cal, prefer_high=True)
     v_star = implied_vmod(t_star)

@@ -385,13 +385,13 @@ def test_closed_forms_and_optimizers_match_golden_values(monkeypatch):
     from cvrate import optimize as optimize_module
 
     probes = [0]
-    probe = optimize_module._secret_fraction
+    probe = optimize_module._rates
 
     def counted(*args):
         probes[0] += 1
         return probe(*args)
 
-    monkeypatch.setattr(optimize_module, "_secret_fraction", counted)
+    monkeypatch.setattr(optimize_module, "_rates", counted)
     golden = json.loads((Path(__file__).resolve().parent / "data" / "golden_closed_forms.json").read_text())
 
     assert [row["grid_index"] for row in golden["evaluate"]] == list(range(0, len(GRID), 7))

@@ -193,6 +193,23 @@ class TestRate:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
+        "edits",
+        [{"xi_rec = 0.05": "xi_rec = 1.7e308"},
+         {"v_mod = 4.0": "v_mod = 1.7e308", "trust = trusted_receiver": "trust = untrusted_all"}],
+        ids=["xi_rec", "v_mod-untrusted"],
+    )
+    def test_non_finite_spectrum_exits_2(self, tmp_path, edits):
+        # finite inputs whose eigenvalues come out NaN: rejected, never printed
+        text = (ROOT / "configs" / "point.ini").read_text()
+        for old, new in edits.items():
+            assert old in text
+            text = text.replace(old, new)
+        proc = run_cli("rate", "--config", write(tmp_path, "huge.ini", text))
+        assert proc.returncode == 2
+        assert proc.stdout == ""
+        assert proc.stderr == "invalid input: symplectic eigenvalue nan is not finite\n"
+
+    @pytest.mark.parametrize(
         "text",
         [
             POINT_CONFIG.replace("[link]\n", ""),  # no section header

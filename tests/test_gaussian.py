@@ -402,6 +402,13 @@ class TestTwoModeEigs:
         assert nu1 == pytest.approx((math.sqrt(21) + 1) / 2, abs=1e-14)
         assert nu2 == pytest.approx((math.sqrt(21) - 1) / 2, abs=1e-14)
 
+    def test_larger_root_comes_first(self):
+        # b < a: the diagonal difference is negative, the pair still descends
+        nu1, nu2 = two_mode_eigs(3.0, 2.0, 1.0)
+        assert nu1 == pytest.approx((math.sqrt(21) + 1) / 2, abs=1e-14)
+        assert nu2 == pytest.approx((math.sqrt(21) - 1) / 2, abs=1e-14)
+        assert two_mode_eigs(3.0, 2.0, 1.0) == two_mode_eigs(2.0, 3.0, 1.0)
+
     def test_negative_discriminant(self):
         with pytest.raises(DomainError):
             two_mode_eigs(1.0, 1.0, 5.0)
@@ -496,6 +503,11 @@ class TestEntropy:
     def test_rejects_below_one(self):
         with pytest.raises(DomainError):
             von_neumann_entropy([0.9])
+
+    @pytest.mark.parametrize("nu", [math.nan, math.inf])
+    def test_rejects_non_finite(self, nu):
+        with pytest.raises(DomainError, match="not finite"):
+            von_neumann_entropy([2.0, nu])
 
     @given(st.floats(min_value=1.0, max_value=50.0), st.floats(min_value=1e-6, max_value=5.0))
     def test_monotone_increasing(self, nu, step):

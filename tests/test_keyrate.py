@@ -17,7 +17,7 @@ from cvrate import (
 )
 from cvrate.keyrate import snr
 from cvrate.cloner import _args
-from cvrate.keyrate import _secret_fraction, _swept_rates
+from cvrate.keyrate import _rates, _swept_rates
 
 
 def make(v_mod=4.0, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1, xi_pr=0.0,
@@ -119,6 +119,27 @@ class TestEvaluate:
         assert all(nu >= 1.0 for nu in res.eigs)
 
 
+class TestHugeInputs:
+    """A huge but finite input either evaluates to finite numbers, the
+    eigenvalues included, or is rejected; it never yields NaN or infinity."""
+
+    BASES = [make(), make(t_ch=1.0, xi_ch=0.0, t_rec=1.0, xi_rec=0.0),
+             make(t_ch=1e-3, xi_pr=0.02), make(t_ch=1.0, xi_ch=0.05, xi_pr=0.02)]
+
+    @pytest.mark.parametrize("value", [1e6, 1e20, 1e154, 1e300, 1.7e308])
+    @pytest.mark.parametrize("field", ["v_mod", "xi_rec", "xi_pr"])
+    def test_finite_or_rejected(self, field, value):
+        proto = ProtocolParams(beta=0.95, f_sym=1e8)
+        for base, detection, trust in itertools.product(self.BASES, Detection, Trust):
+            p = replace(base, detection=detection, trust=trust, **{field: value})
+            try:
+                res = evaluate(p, proto)
+            except (DomainError, ArithmeticError):
+                continue
+            values = [res.snr, res.i_ab, res.chi_eb, res.secret_fraction, res.key_rate, *res.eigs]
+            assert all(math.isfinite(x) for x in values), (p, values)
+
+
 class TestDominanceAndContinuity:
     GRID = list(itertools.product([1.0, 4.0, 16.0], [0.1, 0.5], [0.0, 0.05], [0.5, 0.8],
                                   [0.0, 0.1], [0.0, 0.3],
@@ -169,7 +190,7 @@ class TestFloatProbe:
         p = make(v_mod=v_mod, t_ch=t_ch, xi_ch=xi_ch, t_rec=t_rec, xi_rec=xi_rec, xi_pr=xi_pr,
                  detection=detection, trust=trust)
         expected = _outcome(lambda: evaluate(p, ProtocolParams(beta=beta)).secret_fraction)
-        assert _outcome(lambda: _secret_fraction(beta, *_args(p))) == expected
+        assert _outcome(lambda: _rates(beta, *_args(p))[3]) == expected
 
 
 def _rows_against_evaluate(p, field, values, beta=0.95):
@@ -256,7 +277,10 @@ class TestSweptRates:
     def test_zero_noise_row(self, field, trust):
         p = make(xi_pr=0.05, trust=trust)
         redo = _rows_against_evaluate(p, field, [0.0, 0.01, 0.02, 0.03])
-        assert set(redo) <= {0}
+        if field == "xi_pr":  # zero preparation noise takes no branch of its own
+            assert redo == []
+        else:
+            assert set(redo) <= {0}
 
     @pytest.mark.parametrize("field, values", [("t_ch", [0.5, -0.1, 0.0, 1.5, math.nan]),
                                                ("xi_rec", [0.1, -0.1, math.inf, math.nan])])

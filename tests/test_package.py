@@ -61,3 +61,10 @@ def test_test_only_helpers_are_gone():
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
+
+
+def test_column_has_no_pair_sort():
+    # every closed-form pair comes out larger first, so nothing sorts pairs
+    import cvrate.gaussian as gaussian
+
+    assert not hasattr(gaussian.Column, "descending")
