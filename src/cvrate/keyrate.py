@@ -123,11 +123,15 @@ def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> l
 
 
 def _key_rate(proto: ProtocolParams, secret: float) -> float | None:
-    # f_sym (1 - fer)(1 - disclosed) max(secret, 0); None without a symbol rate
+    # f_sym (1 - fer)(1 - disclosed) max(secret, 0); None without a symbol rate,
+    # DomainError where the product overflows
     if proto.f_sym is None:
         return None
     if secret > 0.0:
-        return proto.f_sym * (1.0 - proto.fer) * (1.0 - proto.disclosed_fraction) * secret
+        rate = proto.f_sym * (1.0 - proto.fer) * (1.0 - proto.disclosed_fraction) * secret
+        if math.isfinite(rate):
+            return rate
+        raise DomainError(f"f_sym = {proto.f_sym:g} overflows the key rate at {secret:.6g} bits/symbol")
     return 0.0
 
 

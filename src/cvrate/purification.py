@@ -2,24 +2,25 @@
 
 The closed forms in :mod:`cvrate.cloner` collapse the eavesdropper's
 entropies to a quadratic equation. This module recomputes the same
-quantities the long way round: it builds the two-mode
-transmitter/receiver state explicitly, purifies the receiver with an
-ancillary EPR state mixed in on a beamsplitter, conditions on the measured
-mode and feeds the surviving three-mode state to the generic eigensolver.
-Because the total state is pure, the entropy of what remains after the
-measurement equals the eavesdropper's conditional entropy.
+quantities the long way round from the transmitter/receiver state that
+:func:`ab_matrix` writes from the link's definition. With nothing trusted
+the eavesdropper holds its whole purification, so the eavesdropper's
+conditional entropy is that of the transmitter arm given the receiver's
+mode. With a trusted receiver, the receiver is purified with an ancillary
+EPR state on a beamsplitter and the measured mode conditioned out; the
+total state being pure, the surviving three-mode state's entropy is the
+eavesdropper's.
 
-This route is deliberately free of the closed-form shortcuts, trading
-speed for independence. Over the 1944-point acceptance grid an
-:func:`oracle_holevo` point took about 245 us of CPU time against about
-11 us for :func:`cvrate.cloner.holevo_bound`, a ratio of about 22 (Python
-3.11, numpy 2.4, one core of a 2-vCPU virtual machine).
+It shares with the closed forms only ``LinkParams`` and its validation, and
+``_MIN_OPEN_PORT``: none of the trust bookkeeping (``V -> V + xi_pr``, the
+``xi_pr`` fold, the source variances, the receiver fold) reaches the oracle,
+so a mistake there shows as disagreement. The test references from
+``_sources`` on do use that bookkeeping.
 
-It is not free of the closed forms' bookkeeping: it takes from
-:mod:`cvrate.cloner` the ``V -> V + xi_pr`` substitution, the ``xi_pr`` fold
-into channel noise, ``W = xi / (1 - T) + 1`` and the receiver fold, so the
-routes' agreement is no evidence for these. The link model's matrix states
-are built here too.
+On the 1944-point acceptance grid an :func:`oracle_holevo` point took about
+165 us of CPU untrusted and 300 us trusted, against 12 us for
+:func:`cvrate.cloner.holevo_bound` (Python 3.11, numpy 2.4, one core of a
+2-vCPU virtual machine).
 """
 
 from __future__ import annotations
@@ -58,30 +59,22 @@ from .gaussian import (
     von_neumann_entropy,
 )
 
-def ab_matrix_untrusted(params: LinkParams) -> CovMatrix:
-    """Transmitter-receiver state with everything attributed to the channel.
+def ab_matrix(params: LinkParams) -> CovMatrix:
+    """Transmitter-receiver state as the eavesdropper is credited with it.
 
-    Uses the end-to-end transmittance and total excess noise, i.e. the state
-    an eavesdropper is credited with when no device is trusted.
+    The transmitter arm has variance V + xi_pr when preparation is trusted
+    (the noise is part of the modulation), else V. The receiver arm takes
+    the preparation noise before the channel, then the end-to-end loss and
+    all later noise when nothing is trusted, or the channel's alone.
     """
-    v = params.v
-    b = params.t_tot * (v - 1.0) + 1.0 + params.xi_tot
-    c = math.sqrt(params.t_tot * (v * v - 1.0))
-    return two_mode_state(v, b, c)
-
-
-def ab_matrix_trusted(params: LinkParams) -> CovMatrix:
-    """Transmitter-receiver state as seen by the eavesdropper with a trusted
-    receiver: only channel transmittance and channel noise appear.
-
-    Trusted preparation noise enters through the V -> V + xi_pr substitution,
-    untrusted preparation noise through the channel-noise fold.
-    """
-    v = effective_v(params)
-    xi = effective_xi_ch(params)
-    b = params.t_ch * (v - 1.0) + 1.0 + xi
-    c = math.sqrt(params.t_ch * (v * v - 1.0))
-    return two_mode_state(v, b, c)
+    trusted_preparation = params.trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION
+    a = params.v + params.xi_pr if trusted_preparation else params.v
+    if params.trust is Trust.UNTRUSTED_ALL:
+        t, xi = params.t_tot, params.t_rec * params.xi_ch + params.xi_rec
+    else:
+        t, xi = params.t_ch, params.xi_ch
+    b = t * (params.v_mod + params.xi_pr) + 1.0 + xi
+    return two_mode_state(a, b, math.sqrt(t * (a * a - 1.0)))
 
 
 def _receiver_stage(t_rec: float, xi_rec: float) -> SympMatrix:
@@ -141,44 +134,42 @@ def _receiver_stage(t_rec: float, xi_rec: float) -> SympMatrix:
 def _premeasurement_state(params: LinkParams) -> CovMatrix:
     """Four-mode state (A, anc1, anc2, B) just before the measurement,
     with the receiver ancilla expressed in its unsqueezed basis."""
-    ab = ab_matrix_trusted(params)
+    ab = ab_matrix(params)
     four = direct_sum([ab, vacuum_state(2)])  # (A, B, anc1, anc2)
     four = apply_symplectic(mode_permutation(4, [0, 2, 3, 1]), four)  # (A, anc1, anc2, B)
     return apply_symplectic(_receiver_stage(params.t_rec, params.xi_rec), four)
 
 
-def oracle_conditional_entropy(params: LinkParams, quad: Quadrature = Quadrature.Q) -> float:
+def oracle_conditional_entropy(params: LinkParams) -> float:
     """Eavesdropper entropy after the receiver's measurement, in bits.
 
-    Conditions the purified four-mode state on the measured mode and returns
-    the entropy of the remaining 6x6 state via the generic eigensolver. For
-    fully untrusted bookkeeping the receiver is first folded into the
-    channel. ``quad`` selects the homodyned quadrature (the spectra agree).
+    With a trusted receiver, conditions the purified four-mode state on the
+    measured mode and returns the entropy of the remaining 6x6 state. With
+    nothing trusted, the eavesdropper holds the whole purification of
+    :func:`ab_matrix`, so S(E|B) = S(A|B): the two-mode state is conditioned
+    on the receiver's mode directly.
     """
     if params.trust is Trust.UNTRUSTED_ALL:
-        params = receiver_folded(params)
-    pre = _premeasurement_state(params)
-    if params.detection is Detection.HETERODYNE:
-        remaining = condition_heterodyne(pre, 3)
+        pre, measured = ab_matrix(params), 1
     else:
-        remaining = condition_homodyne(pre, 3, quad)
+        pre, measured = _premeasurement_state(params), 3
+    if params.detection is Detection.HETERODYNE:
+        remaining = condition_heterodyne(pre, measured)
+    else:
+        remaining = condition_homodyne(pre, measured, Quadrature.Q)
     return von_neumann_entropy(symplectic_eigenvalues(remaining))
 
 
-def oracle_holevo(params: LinkParams, quad: Quadrature = Quadrature.Q) -> float:
+def oracle_holevo(params: LinkParams) -> float:
     """Eavesdropper-receiver information bound computed entirely on matrices.
 
     The pre-measurement entropy comes from the generic eigensolver applied to
-    the trust-appropriate two-mode state, the conditional entropy from
+    :func:`ab_matrix`, the conditional entropy from
     :func:`oracle_conditional_entropy`. No clamping is applied, so tiny
     negative values can survive rounding.
     """
-    if params.trust is Trust.UNTRUSTED_ALL:
-        ab = ab_matrix_untrusted(params)
-    else:
-        ab = ab_matrix_trusted(params)
-    s_e = von_neumann_entropy(symplectic_eigenvalues(ab))
-    return s_e - oracle_conditional_entropy(params, quad)
+    s_e = von_neumann_entropy(symplectic_eigenvalues(ab_matrix(params)))
+    return s_e - oracle_conditional_entropy(params)
 
 
 def _sources(params: LinkParams) -> tuple[float, float, float, float, float]:

@@ -36,8 +36,7 @@ from cvrate.gaussian import (
     von_neumann_entropy,
 )
 from cvrate.purification import (
-    ab_matrix_trusted,
-    ab_matrix_untrusted,
+    ab_matrix,
     assemble_and_propagate,
     eve_state,
     oracle_conditional_entropy,
@@ -77,11 +76,7 @@ def test_criterion_01_ansatz_equivalence():
     worst_chi = worst_cond = 0.0
     for p in GRID:
         pair, chi = holevo_bound(p)
-        if p.trust is Trust.UNTRUSTED_ALL:
-            ab = ab_matrix_untrusted(p)
-        else:
-            ab = ab_matrix_trusted(p)
-        s_e_oracle = von_neumann_entropy(symplectic_eigenvalues(ab))
+        s_e_oracle = von_neumann_entropy(symplectic_eigenvalues(ab_matrix(p)))
         cond_oracle = oracle_conditional_entropy(p)
         worst_chi = max(worst_chi, abs(chi - (s_e_oracle - cond_oracle)))
         worst_cond = max(worst_cond, abs(pair.s_e_given_b - cond_oracle))
@@ -97,7 +92,7 @@ def test_criterion_02_pre_measurement_entropy_identity():
     for p in GRID:
         q = receiver_folded(p) if p.trust is Trust.UNTRUSTED_ALL else p
         s_e = von_neumann_entropy(symplectic_eigenvalues(eve_state(q)))
-        s_ab = von_neumann_entropy(symplectic_eigenvalues(ab_matrix_trusted(q)))
+        s_ab = von_neumann_entropy(symplectic_eigenvalues(ab_matrix(q)))
         worst = max(worst, abs(s_e - s_ab))
     report(2, "eavesdropper entropy equals shared-state entropy", worst < 1e-10,
            f"worst |dS| = {worst:.3e} < 1e-10")

@@ -593,6 +593,20 @@ snr_target = 1.0
         assert proc.stderr.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["rate", "optimize", "sweep"])
+def test_key_rate_overflow_exits_2(tmp_path, command):
+    # a finite f_sym whose key rate overflows a double is rejected, never printed as inf
+    csv_path = tmp_path / "x.csv"
+    out = ["--out", str(csv_path)] if command == "sweep" else []
+    proc = run_cli(command, *out, "--config", str(ROOT / "tests" / "data" / "overflow_key_rate.ini"))
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.startswith("invalid input: f_sym = 1.7e+308 ")
+    assert proc.stderr.count("\n") == 1
+    assert "Traceback" not in proc.stderr
+    assert not csv_path.exists()
+
+
 def test_module_is_runnable_as_script(tmp_path):
     cfg = tmp_path / "point.ini"
     cfg.write_text(POINT_CONFIG)

@@ -1,5 +1,6 @@
 import itertools
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -13,6 +14,7 @@ from cvrate import (
     Trust,
     holevo_bound,
 )
+from cvrate import cloner
 from cvrate.cloner import noise_source_variances
 from cvrate.gaussian import (
     Quadrature,
@@ -29,8 +31,7 @@ from cvrate.gaussian import (
     von_neumann_entropy,
 )
 from cvrate.purification import (
-    ab_matrix_trusted,
-    ab_matrix_untrusted,
+    ab_matrix,
     eve_state,
     oracle_conditional_entropy,
     oracle_holevo,
@@ -57,36 +58,38 @@ MINI_GRID = [
 class TestAbMatrices:
     def test_untrusted_perfect_link_is_shared_epr(self):
         p = make(t_ch=1.0, xi_ch=0.0, t_rec=1.0, xi_rec=0.0)
-        assert np.allclose(ab_matrix_untrusted(p).data, epr_state(5.0).data)
+        assert np.allclose(ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)).data, epr_state(5.0).data)
 
     def test_untrusted_receiver_entry(self):
         p = make()  # T_tot = 0.3, xi_tot = 0.6*0.05 + 0.1 = 0.13
-        assert ab_matrix_untrusted(p).data[2, 2] == pytest.approx(0.3 * 4 + 1 + 0.13, abs=1e-14)
+        assert ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)).data[2, 2] == pytest.approx(
+            0.3 * 4 + 1 + 0.13, abs=1e-14)
 
     def test_untrusted_eigenvalues_match_closed_pair(self):
         p = make()
         v = p.v
         pair = two_mode_eigs(v, p.t_tot * (v - 1) + 1 + p.xi_tot,
                              math.sqrt(p.t_tot * (v * v - 1)))
-        generic = symplectic_eigenvalues(ab_matrix_untrusted(p))
+        generic = symplectic_eigenvalues(ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)))
         assert np.allclose(np.sort(generic), np.sort(pair), atol=1e-10)
 
     def test_trusted_equals_untrusted_for_ideal_receiver(self):
         p = make(t_rec=1.0, xi_rec=0.0)
-        assert np.allclose(ab_matrix_trusted(p).data, ab_matrix_untrusted(p).data, atol=1e-12)
+        assert np.allclose(ab_matrix(p).data, ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)).data,
+                           atol=1e-12)
 
     def test_trusted_entropy_equals_eve_entropy(self):
         for p in MINI_GRID[::7]:
             if p.trust is Trust.UNTRUSTED_ALL:
                 continue
-            s_ab = von_neumann_entropy(symplectic_eigenvalues(ab_matrix_trusted(p)))
+            s_ab = von_neumann_entropy(symplectic_eigenvalues(ab_matrix(p)))
             s_e = von_neumann_entropy(symplectic_eigenvalues(eve_state(p)))
             assert s_ab == pytest.approx(s_e, abs=1e-10)
 
     def test_trusted_prep_substitution(self):
         p = make(xi_pr=0.3, trust=Trust.TRUSTED_RECEIVER_AND_PREPARATION)
-        assert ab_matrix_trusted(p).data[0, 0] == pytest.approx(5.3, abs=1e-14)
-        s_ab = von_neumann_entropy(symplectic_eigenvalues(ab_matrix_trusted(p)))
+        assert ab_matrix(p).data[0, 0] == pytest.approx(5.3, abs=1e-14)
+        s_ab = von_neumann_entropy(symplectic_eigenvalues(ab_matrix(p)))
         s_e = von_neumann_entropy(symplectic_eigenvalues(eve_state(p)))
         assert s_ab == pytest.approx(s_e, abs=1e-10)
 
@@ -103,12 +106,6 @@ class TestConditionalEntropy:
             q = receiver_folded(p) if p.trust is Trust.UNTRUSTED_ALL else p
             closed = von_neumann_entropy(holevo_bound(q)[0].nu_post)
             assert oracle_conditional_entropy(p) == pytest.approx(closed, abs=1e-8)
-
-    def test_quadrature_choice_is_irrelevant(self):
-        p = make(detection=Detection.HOMODYNE)
-        s_q = oracle_conditional_entropy(p, Quadrature.Q)
-        s_p = oracle_conditional_entropy(p, Quadrature.P)
-        assert s_q == pytest.approx(s_p, abs=1e-10)
 
     def test_untrusted_equals_folded_trusted(self):
         from cvrate.cloner import receiver_folded
@@ -134,7 +131,7 @@ class TestConditionalEntropy:
         # basis change that keeps the extreme-variance case conditioned
         p = make(detection=Detection.HOMODYNE)
         w_ch, w_rec = noise_source_variances(p)
-        naive = direct_sum([ab_matrix_trusted(p), epr_state(w_rec)])
+        naive = direct_sum([ab_matrix(p), epr_state(w_rec)])
         naive = apply_symplectic(mode_permutation(4, [0, 2, 3, 1]), naive)
         naive = apply_symplectic(beamsplitter(4, 3, 1, p.t_rec), naive)
         cond = condition_homodyne(naive, 3, Quadrature.Q)
@@ -171,6 +168,36 @@ class TestOracleHolevo:
         p = LinkParams(**kwargs)
         _, chi = holevo_bound(p)
         assert oracle_holevo(p) == pytest.approx(chi, abs=1e-8)
+
+
+_EFFECTIVE, _FOLD = cloner._effective, cloner._fold
+
+
+def _without_prep_fold(v_mod, t_ch, xi_ch, xi_pr, trust):
+    return _EFFECTIVE(v_mod, 0.0, xi_ch, xi_pr, trust)  # t_ch enters only the t_ch*xi_pr fold
+
+
+def _twice_prep_substitution(v_mod, t_ch, xi_ch, xi_pr, trust):
+    v, xi = _EFFECTIVE(v_mod, t_ch, xi_ch, xi_pr, trust)
+    return (v + xi_pr if trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION else v), xi
+
+
+def _half_folded_noise(v_mod, t_tot, xi_tot, detection):
+    return _FOLD(v_mod, t_tot, 0.5 * xi_tot, detection)
+
+
+@pytest.mark.parametrize(
+    "name, mutant",
+    [("_effective", _without_prep_fold), ("_effective", _twice_prep_substitution),
+     ("_fold", _half_folded_noise)],
+    ids=["no-t_ch-xi_pr-fold", "V-plus-2-xi_pr", "half-folded-xi_tot"],
+)
+def test_oracle_catches_bookkeeping_mutants(monkeypatch, name, mutant):
+    # the oracle builds its states without the closed forms' trust bookkeeping,
+    # so a mistake there must show as disagreement somewhere on the grid
+    monkeypatch.setattr(cloner, name, mutant)
+    gap = max(abs(holevo_bound(p)[1] - oracle_holevo(p)) for p in MINI_GRID)
+    assert gap > 1e-8
 
 
 def is_pure(p):
