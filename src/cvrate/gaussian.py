@@ -10,10 +10,12 @@ moments are never tracked.
 Matrices are validated once, where they can come from outside: the public
 ``CovMatrix`` and ``SympMatrix`` constructors and ``SympMatrix @``. Every
 operation here whose result is valid by construction (the state builders
-after their argument checks, ``direct_sum``, ``beamsplitter``,
-``mode_permutation``, ``apply_symplectic``, ``extract_modes`` and the
-conditioning functions) trusts its validated inputs and wraps its result
-without re-checking it.
+after their argument checks, the transform builders ``beamsplitter``,
+``two_mode_squeezer`` and ``mode_permutation``, ``direct_sum``,
+``apply_symplectic``, ``extract_modes`` and the conditioning functions)
+trusts its validated inputs and wraps its result without re-checking it.
+The generic solver ``symplectic_eigenvalues`` reads the spectrum off the
+eigenvalues +-i nu of ``Omega @ cov``, without squaring the matrix.
 
 ``Column`` is the array operand of the closed forms in :mod:`cvrate.cloner`:
 one value per row of a sweep grid, taken by ``two_mode_eigs``,
@@ -216,19 +218,44 @@ def beamsplitter(n_modes: int, mode_i: int, mode_j: int, transmittance: float) -
     """
     if not 0.0 <= transmittance <= 1.0:
         raise DomainError(f"transmittance must lie in [0, 1], got {transmittance}")
+    s = math.sqrt(1.0 - transmittance)
+    return _two_mode_transform("beamsplitter", n_modes, mode_i, mode_j,
+                               math.sqrt(transmittance), s * np.eye(2), -s * np.eye(2))
+
+
+def two_mode_squeezer(n_modes: int, mode_i: int, mode_j: int, gain: float) -> SympMatrix:
+    """Two-mode squeezer of given gain G acting on two modes.
+
+    The 4x4 sub-block on (mode_i, mode_j) is
+    ``[[sqrt(G) I, sqrt(G-1) sigma_z], [sqrt(G-1) sigma_z, sqrt(G) I]]``.
+    With mode_j in vacuum it is the quantum-limited amplifier
+    V -> G V + G - 1 on mode_i. All other modes are untouched.
+
+    Args:
+        n_modes: total number of modes of the transform.
+        mode_i: index of the amplified arm.
+        mode_j: index of the ancilla arm.
+        gain: finite power gain, at least 1.
+    """
+    if not 1.0 <= gain < math.inf:
+        raise DomainError(f"gain must be finite and at least 1, got {gain}")
+    s = math.sqrt(gain - 1.0) * SIGMA_Z
+    return _two_mode_transform("two-mode squeezer", n_modes, mode_i, mode_j, math.sqrt(gain), s, s)
+
+
+def _two_mode_transform(name: str, n_modes: int, mode_i: int, mode_j: int,
+                        diag: float, ij: np.ndarray, ji: np.ndarray) -> SympMatrix:
+    # identity outside (mode_i, mode_j); diag * I on both, and the 2x2 blocks
+    # ij (mode_i row, mode_j column) and ji; symplectic for the callers' blocks
     if mode_i == mode_j:
-        raise UsageError("beamsplitter needs two distinct modes")
+        raise UsageError(f"{name} needs two distinct modes")
     for m in (mode_i, mode_j):
         if not 0 <= m < n_modes:
             raise UsageError(f"mode index {m} out of range for {n_modes} modes")
-    c = math.sqrt(transmittance)
-    s = math.sqrt(1.0 - transmittance)
     out = np.eye(2 * n_modes)
-    eye2 = np.eye(2)
-    out[2 * mode_i : 2 * mode_i + 2, 2 * mode_i : 2 * mode_i + 2] = c * eye2
-    out[2 * mode_j : 2 * mode_j + 2, 2 * mode_j : 2 * mode_j + 2] = c * eye2
-    out[2 * mode_i : 2 * mode_i + 2, 2 * mode_j : 2 * mode_j + 2] = s * eye2
-    out[2 * mode_j : 2 * mode_j + 2, 2 * mode_i : 2 * mode_i + 2] = -s * eye2
+    i, j = slice(2 * mode_i, 2 * mode_i + 2), slice(2 * mode_j, 2 * mode_j + 2)
+    out[i, i] = out[j, j] = diag * np.eye(2)
+    out[i, j], out[j, i] = ij, ji
     return _unchecked(SympMatrix, out)
 
 
@@ -385,17 +412,14 @@ class Column(np.ndarray):
 def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
     """Symplectic spectrum of a physical state, in descending order.
 
-    Computed as the positive square roots of the eigenvalues of
-    ``-(Omega @ cov)**2``, which is similar to a symmetric positive matrix;
-    this keeps the computation in real arithmetic. Each eigenvalue appears
-    twice in that product, so adjacent pairs of the sorted spectrum are
-    averaged before the square root.
+    The eigenvalues of ``Omega @ cov`` come in pairs +-i nu, so each nu is
+    the mean of an adjacent pair of their sorted moduli. Taking them
+    directly, rather than the roots of the eigenvalues of
+    ``-(Omega @ cov)**2``, keeps a near-unit nu accurate next to a large one.
     """
     omega = _symplectic_form(cov.n_modes)
-    m = omega @ cov.data
-    squared = np.linalg.eigvals(-m @ m).real
-    squared = np.sort(np.maximum(squared, 0.0))
-    nus = np.sqrt(0.5 * (squared[0::2] + squared[1::2]))
+    moduli = np.sort(np.abs(np.linalg.eigvals(omega @ cov.data).imag))
+    nus = 0.5 * (moduli[0::2] + moduli[1::2])
     return clamp_spectrum(nus[::-1])
 
 

@@ -26,6 +26,7 @@ from cvrate.gaussian import (
     symplectic_eigenvalues,
     thermal_state,
     two_mode_eigs,
+    two_mode_squeezer,
     vacuum_state,
     von_neumann_entropy,
 )
@@ -298,6 +299,32 @@ class TestBeamsplitter:
         bs = beamsplitter(3, 0, 2, t)
         omega = _symplectic_form(3)
         assert np.max(np.abs(bs.data @ omega @ bs.data.T - omega)) < 1e-12
+
+
+class TestTwoModeSqueezer:
+    @pytest.mark.parametrize("gain", [1.0, 1.05, 501.0])
+    def test_passes_the_symplecticity_check(self, gain):
+        _assert_symplectic(two_mode_squeezer(3, 2, 0, gain), 3)
+
+    def test_unit_gain_is_identity(self):
+        assert np.array_equal(two_mode_squeezer(3, 0, 2, 1.0).data, np.eye(6))
+
+    @pytest.mark.parametrize("gain", [1.05, 3.0, 501.0])
+    def test_amplifies_with_a_vacuum_ancilla(self, gain):
+        state = direct_sum([thermal_state(2.5), vacuum_state(1)])
+        out = apply_symplectic(two_mode_squeezer(2, 0, 1, gain), state)
+        assert np.allclose(out.data[:2, :2], (gain * 2.5 + gain - 1.0) * np.eye(2),
+                           rtol=1e-14, atol=0.0)
+
+    @pytest.mark.parametrize("gain", [0.999, -1.0, math.nan, math.inf])
+    def test_gain_below_one_or_not_finite(self, gain):
+        with pytest.raises(DomainError):
+            two_mode_squeezer(2, 0, 1, gain)
+
+    @pytest.mark.parametrize("modes", [(1, 1), (0, 2), (-1, 0)])
+    def test_mode_indices_checked(self, modes):
+        with pytest.raises(UsageError):
+            two_mode_squeezer(2, *modes, 2.0)
 
 
 class TestModePermutation:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from cvrate import (
     Detection,
-    DomainError,
     LinkParams,
     Trust,
     holevo_bound,
@@ -53,6 +52,23 @@ MINI_GRID = [
         [Trust.UNTRUSTED_ALL, Trust.TRUSTED_RECEIVER, Trust.TRUSTED_RECEIVER_AND_PREPARATION],
     )
 ]
+
+
+HARD_LINKS = {
+    # receiver noise of 1e3 SNU
+    **{f"xi_rec-1e3-{d.value}-{t.value}": make(xi_rec=1e3, detection=d, trust=t)
+       for d in Detection for t in (Trust.TRUSTED_RECEIVER, Trust.TRUSTED_RECEIVER_AND_PREPARATION)},
+    # receiver noise of 245 SNU behind a lossy receiver
+    "xi_rec-245": make(v_mod=21.947721860996758, t_ch=0.6055958044135793, xi_ch=0.0,
+                       t_rec=0.44788314591973655, xi_rec=244.75312482676125,
+                       xi_pr=0.013474520514876909, detection=Detection.HOMODYNE,
+                       trust=Trust.TRUSTED_RECEIVER_AND_PREPARATION),
+    # a noiseless link at large modulation: the eavesdropper's spectrum pairs
+    # a unit eigenvalue with one of about 49
+    "v_mod-930": make(v_mod=930.3240931405103, t_ch=0.9482204460933563, xi_ch=0.0, t_rec=1.0,
+                      xi_rec=0.0, xi_pr=0.0, detection=Detection.HETERODYNE,
+                      trust=Trust.TRUSTED_RECEIVER),
+}
 
 
 class TestAbMatrices:
@@ -116,19 +132,27 @@ class TestConditionalEntropy:
         )
 
     def test_conditional_state_is_physical(self):
-        from cvrate.purification import _premeasurement_state
+        # the state the oracle conditions: the received (A, B) marginal with
+        # nothing trusted, all four received modes with a trusted receiver
+        from cvrate.purification import _eve_and_measured
 
         for p in MINI_GRID[::11]:
-            pre = _premeasurement_state(p if p.trust is not Trust.UNTRUSTED_ALL else p)
+            measured = _eve_and_measured(p)[1]
             if p.detection is Detection.HETERODYNE:
-                cond = condition_heterodyne(pre, 3)
+                cond = condition_heterodyne(measured, 1)
             else:
-                cond = condition_homodyne(pre, 3, Quadrature.Q)
-            assert np.all(symplectic_eigenvalues(cond) >= 1.0 - 1e-9)
+                cond = condition_homodyne(measured, 1, Quadrature.Q)
+            nus = symplectic_eigenvalues(cond)
+            assert np.all(nus >= 1.0 - 1e-9)
+            if p.trust is not Trust.UNTRUSTED_ALL:
+                # the receiver's ancillas add one pure mode, nothing else
+                assert nus[-1] == pytest.approx(1.0, abs=1e-9)
+                assert np.allclose(nus[:2], holevo_bound(p)[0].nu_post, rtol=0.0, atol=1e-9)
 
     def test_stable_receiver_stage_equals_naive_construction(self):
-        # same state built with an explicit purifying EPR pair, without the
-        # basis change that keeps the extreme-variance case conditioned
+        # the vacuum-ancilla dilation of the receiver (a beamsplitter and an
+        # amplifier) against the thermal-EPR one: the receiver noise as an
+        # explicit purifying EPR pair mixed in on a single beamsplitter
         p = make(detection=Detection.HOMODYNE)
         w_ch, w_rec = noise_source_variances(p)
         naive = direct_sum([ab_matrix(p), epr_state(w_rec)])
@@ -140,13 +164,9 @@ class TestConditionalEntropy:
 
 
 class TestOracleHolevo:
-    @pytest.mark.parametrize("detection", list(Detection))
-    def test_receiver_stage_is_still_checked(self, detection):
-        # the hand-derived receiver transform loses symplecticity beyond 1e-12
-        # at this noise level; the check must keep rejecting it
-        p = make(xi_rec=1e3, detection=detection)
-        with pytest.raises(DomainError, match="not symplectic"):
-            oracle_holevo(p)
+    @pytest.mark.parametrize("p", list(HARD_LINKS.values()), ids=list(HARD_LINKS))
+    def test_agreement_on_hard_links(self, p):
+        assert oracle_holevo(p) == pytest.approx(holevo_bound(p)[1], abs=1e-8)
 
     def test_agreement_with_closed_forms(self):
         for p in MINI_GRID:
