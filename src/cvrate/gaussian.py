@@ -7,13 +7,11 @@ quadrature variance 1. An N-mode state is described by a real symmetric
 and preserve the symplectic spectrum. All states are zero-mean, so first
 moments are never tracked.
 
-Matrices are validated once, where they can come from outside: the public
-``CovMatrix`` and ``SympMatrix`` constructors and ``SympMatrix @``. Every
-operation here whose result is valid by construction (the state builders
-after their argument checks, the transform builders ``beamsplitter``,
-``two_mode_squeezer`` and ``mode_permutation``, ``direct_sum``,
-``apply_symplectic``, ``extract_modes`` and the conditioning functions)
-trusts its validated inputs and wraps its result without re-checking it.
+States and transforms are plain real ``(2N, 2N)`` float64 arrays, with N
+read off ``shape[0] // 2``. Every builder and operation here checks its
+arguments (mode indices, transmittance, gain, variances, dimensions) and
+returns an array that is valid by construction: a state exactly symmetric,
+a transform symplectic. No caller supplies a matrix, so none is re-checked.
 The generic solver ``symplectic_eigenvalues`` reads the spectrum off the
 eigenvalues +-i nu of ``Omega @ cov``, without squaring the matrix.
 
@@ -36,12 +34,8 @@ from .errors import DomainError, PhysicalityError, UnsupportedCaseError, UsageEr
 SIGMA_Z = np.diag([1.0, -1.0])
 
 # Symplectic eigenvalues this far below 1 are rounding noise and get clamped
-# to exactly 1; below the physicality threshold they are treated as a genuine
-# uncertainty-principle violation.
+# to exactly 1; further below they violate the uncertainty principle.
 CLAMP_TOL = 1e-9
-PHYSICALITY_TOL = 1e-6
-
-_SYMMETRY_TOL = 1e-12
 
 
 class Quadrature(enum.Enum):
@@ -51,57 +45,13 @@ class Quadrature(enum.Enum):
     P = 1
 
 
-def _unchecked(cls, data: np.ndarray):
-    """Wrap ``data`` in ``cls`` without validation.
-
-    Only for results that are valid by construction: an exactly symmetric
-    float array for ``CovMatrix``, a symplectic one for ``SympMatrix``. The
-    caller hands over ``data``; nothing else may hold a reference to it.
-    """
-    out = object.__new__(cls)
-    out.data = data
-    return out
-
-
-class CovMatrix:
-    """Covariance matrix of an N-mode Gaussian state, in shot-noise units.
-
-    The constructor symmetrizes its input and rejects matrices whose
-    asymmetry exceeds rounding scale (1e-12 relative to the largest entry),
-    so ``data`` is always exactly symmetric. Operations of this module that
-    preserve that by construction return their result without re-checking.
-    Physicality (all symplectic eigenvalues >= 1) is not enforced here; it is
-    checked wherever the spectrum is actually computed.
-    """
-
-    __slots__ = ("data",)
-
-    def __init__(self, data: np.ndarray | Sequence[Sequence[float]]):
-        arr = np.array(data, dtype=float)
-        if arr.ndim != 2 or arr.shape[0] != arr.shape[1]:
-            raise UsageError(f"covariance matrix must be square, got shape {arr.shape}")
-        if arr.shape[0] % 2 or arr.shape[0] == 0:
-            raise UsageError(f"covariance matrix needs an even dimension, got {arr.shape[0]}")
-        scale = max(1.0, float(np.max(np.abs(arr))))
-        asym = float(np.max(np.abs(arr - arr.T)))
-        if asym > _SYMMETRY_TOL * scale:
-            raise DomainError(f"matrix is not symmetric (max asymmetry {asym:.3e})")
-        self.data = 0.5 * (arr + arr.T)
-
-    @property
-    def n_modes(self) -> int:
-        return self.data.shape[0] // 2
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"CovMatrix(n_modes={self.n_modes})"
-
-
 class SympMatrix:
-    """Real symplectic matrix: satisfies S @ Omega @ S.T == Omega.
+    """A transform checked to be symplectic: S @ Omega @ S.T == Omega within 1e-12.
 
-    The constructor and ``@`` check the residual against 1e-12; the
-    transforms built by this module are symplectic by construction and skip
-    the check.
+    Nothing in the package builds one; its transforms are plain arrays,
+    symplectic by construction. The constructor stays as the check that
+    claim is tested with, and as the construction the benchmark's tracer
+    counts until the run counters of ROADMAP item 6 replace it.
     """
 
     __slots__ = ("data",)
@@ -112,21 +62,9 @@ class SympMatrix:
             raise UsageError(f"symplectic matrix must be square with even dimension, got {arr.shape}")
         omega = _symplectic_form(arr.shape[0] // 2)
         residual = float(np.max(np.abs(arr @ omega @ arr.T - omega)))
-        if residual > _SYMMETRY_TOL:
+        if residual > 1e-12:
             raise DomainError(f"matrix is not symplectic (residual {residual:.3e})")
         self.data = arr
-
-    @property
-    def n_modes(self) -> int:
-        return self.data.shape[0] // 2
-
-    def __matmul__(self, other: "SympMatrix") -> "SympMatrix":
-        if not isinstance(other, SympMatrix):
-            return NotImplemented
-        return SympMatrix(self.data @ other.data)
-
-    def __repr__(self) -> str:  # pragma: no cover
-        return f"SympMatrix(n_modes={self.n_modes})"
 
 
 @functools.lru_cache(maxsize=8)
@@ -143,7 +81,7 @@ def _symplectic_form(n_modes: int) -> np.ndarray:
     return omega
 
 
-def epr_state(variance: float) -> CovMatrix:
+def epr_state(variance: float) -> np.ndarray:
     """Two-mode squeezed vacuum with quadrature variance ``variance`` per arm.
 
     The arms are correlated through sqrt(variance**2 - 1) * sigma_z
@@ -158,7 +96,7 @@ def epr_state(variance: float) -> CovMatrix:
     return two_mode_state(variance, variance, math.sqrt(variance * variance - 1.0))
 
 
-def two_mode_state(a: float, b: float, c: float) -> CovMatrix:
+def two_mode_state(a: float, b: float, c: float) -> np.ndarray:
     """Two-mode state [[a I, c sigma_z], [c sigma_z, b I]]; its symplectic
     eigenvalues are :func:`two_mode_eigs` (a, b, c)."""
     out = np.zeros((4, 4))
@@ -166,24 +104,24 @@ def two_mode_state(a: float, b: float, c: float) -> CovMatrix:
     out[2:, 2:] = b * np.eye(2)
     out[:2, 2:] = c * SIGMA_Z
     out[2:, :2] = c * SIGMA_Z
-    return _unchecked(CovMatrix, out)
+    return out
 
 
-def thermal_state(variance: float) -> CovMatrix:
+def thermal_state(variance: float) -> np.ndarray:
     """Single-mode thermal state with isotropic quadrature variance."""
     if variance < 1.0:
         raise DomainError(f"thermal variance must be >= 1 SNU, got {variance}")
-    return _unchecked(CovMatrix, variance * np.eye(2))
+    return variance * np.eye(2)
 
 
-def vacuum_state(n_modes: int = 1) -> CovMatrix:
+def vacuum_state(n_modes: int = 1) -> np.ndarray:
     """n-mode vacuum: the identity matrix."""
     if n_modes < 1:
         raise UsageError("n_modes must be at least 1")
-    return _unchecked(CovMatrix, np.eye(2 * n_modes))
+    return np.eye(2 * n_modes)
 
 
-def direct_sum(states: Iterable[CovMatrix]) -> CovMatrix:
+def direct_sum(states: Iterable[np.ndarray]) -> np.ndarray:
     """Block-diagonal combination of independent states.
 
     The mode count adds up and the symplectic spectrum of the result is the
@@ -192,17 +130,17 @@ def direct_sum(states: Iterable[CovMatrix]) -> CovMatrix:
     blocks = list(states)
     if not blocks:
         raise UsageError("direct_sum needs at least one state")
-    dim = sum(b.data.shape[0] for b in blocks)
+    dim = sum(b.shape[0] for b in blocks)
     out = np.zeros((dim, dim))
     offset = 0
     for b in blocks:
-        d = b.data.shape[0]
-        out[offset : offset + d, offset : offset + d] = b.data
+        d = b.shape[0]
+        out[offset : offset + d, offset : offset + d] = b
         offset += d
-    return _unchecked(CovMatrix, out)
+    return out
 
 
-def beamsplitter(n_modes: int, mode_i: int, mode_j: int, transmittance: float) -> SympMatrix:
+def beamsplitter(n_modes: int, mode_i: int, mode_j: int, transmittance: float) -> np.ndarray:
     """Beamsplitter of given transmittance T acting on two modes.
 
     The 4x4 sub-block on (mode_i, mode_j) is
@@ -223,7 +161,7 @@ def beamsplitter(n_modes: int, mode_i: int, mode_j: int, transmittance: float) -
                                math.sqrt(transmittance), s * np.eye(2), -s * np.eye(2))
 
 
-def two_mode_squeezer(n_modes: int, mode_i: int, mode_j: int, gain: float) -> SympMatrix:
+def two_mode_squeezer(n_modes: int, mode_i: int, mode_j: int, gain: float) -> np.ndarray:
     """Two-mode squeezer of given gain G acting on two modes.
 
     The 4x4 sub-block on (mode_i, mode_j) is
@@ -244,7 +182,7 @@ def two_mode_squeezer(n_modes: int, mode_i: int, mode_j: int, gain: float) -> Sy
 
 
 def _two_mode_transform(name: str, n_modes: int, mode_i: int, mode_j: int,
-                        diag: float, ij: np.ndarray, ji: np.ndarray) -> SympMatrix:
+                        diag: float, ij: np.ndarray, ji: np.ndarray) -> np.ndarray:
     # identity outside (mode_i, mode_j); diag * I on both, and the 2x2 blocks
     # ij (mode_i row, mode_j column) and ji; symplectic for the callers' blocks
     if mode_i == mode_j:
@@ -256,10 +194,10 @@ def _two_mode_transform(name: str, n_modes: int, mode_i: int, mode_j: int,
     i, j = slice(2 * mode_i, 2 * mode_i + 2), slice(2 * mode_j, 2 * mode_j + 2)
     out[i, i] = out[j, j] = diag * np.eye(2)
     out[i, j], out[j, i] = ij, ji
-    return _unchecked(SympMatrix, out)
+    return out
 
 
-def mode_permutation(n_modes: int, new_order: Sequence[int]) -> SympMatrix:
+def mode_permutation(n_modes: int, new_order: Sequence[int]) -> np.ndarray:
     """Permutation acting on whole mode blocks.
 
     ``new_order[k]`` names the input mode placed at output slot k, so
@@ -271,31 +209,30 @@ def mode_permutation(n_modes: int, new_order: Sequence[int]) -> SympMatrix:
     out = np.zeros((2 * n_modes, 2 * n_modes))
     for slot, src in enumerate(new_order):
         out[2 * slot : 2 * slot + 2, 2 * src : 2 * src + 2] = np.eye(2)
-    return _unchecked(SympMatrix, out)
+    return out
 
 
-def apply_symplectic(transform: SympMatrix, cov: CovMatrix) -> CovMatrix:
+def apply_symplectic(transform: np.ndarray, cov: np.ndarray) -> np.ndarray:
     """Propagate a state through a symplectic transform: S @ cov @ S.T.
 
     The product is re-symmetrized to wipe rounding asymmetry; the symplectic
     spectrum is preserved.
     """
-    if transform.data.shape != cov.data.shape:
-        raise UsageError(
-            f"dimension mismatch: transform is {transform.data.shape}, state is {cov.data.shape}"
-        )
-    out = transform.data @ cov.data @ transform.data.T
-    return _unchecked(CovMatrix, 0.5 * (out + out.T))
+    if transform.shape != cov.shape:
+        raise UsageError(f"dimension mismatch: transform is {transform.shape}, state is {cov.shape}")
+    out = transform @ cov @ transform.T
+    return 0.5 * (out + out.T)
 
 
-def extract_modes(cov: CovMatrix, modes: Sequence[int]) -> CovMatrix:
+def extract_modes(cov: np.ndarray, modes: Sequence[int]) -> np.ndarray:
     """Marginal state of the listed modes (rows/columns of their blocks)."""
     if len(set(modes)) != len(modes):
         raise UsageError("mode list contains duplicates")
+    n = cov.shape[0] // 2
     for m in modes:
-        if not 0 <= m < cov.n_modes:
-            raise UsageError(f"mode index {m} out of range for {cov.n_modes} modes")
-    return _unchecked(CovMatrix, _select_modes(cov.data, modes))
+        if not 0 <= m < n:
+            raise UsageError(f"mode index {m} out of range for {n} modes")
+    return _select_modes(cov, modes)
 
 
 def _select_modes(data: np.ndarray, modes: Sequence[int]) -> np.ndarray:
@@ -306,16 +243,16 @@ def _select_modes(data: np.ndarray, modes: Sequence[int]) -> np.ndarray:
 
 def _clamp_floats(values: Sequence[float]) -> list[float]:
     # clamp_spectrum's policy on Python floats, and the one place it is written
-    if any(nu < 1.0 - PHYSICALITY_TOL for nu in values):
+    if any(nu < 1.0 - CLAMP_TOL for nu in values):
         worst = float(np.min(values))
         raise PhysicalityError(f"symplectic eigenvalue {worst:.9g} violates the uncertainty bound")
-    return [1.0 if 1.0 - CLAMP_TOL <= nu < 1.0 else nu for nu in values]
+    return [1.0 if nu < 1.0 else nu for nu in values]
 
 
 def clamp_spectrum(values):
     """Clamp near-unit symplectic eigenvalues, reject unphysical ones.
 
-    Values in [1 - 1e-9, 1) become exactly 1; anything below 1 - 1e-6 raises
+    Values in [1 - 1e-9, 1) become exactly 1; anything below them raises
     PhysicalityError naming the offending value. A tuple comes back as a
     tuple: a pair of floats from the closed forms is clamped on floats, with
     no numpy round trip, and a pair of swept columns row by row (see
@@ -409,7 +346,7 @@ class Column(np.ndarray):
         return out
 
 
-def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
+def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     """Symplectic spectrum of a physical state, in descending order.
 
     The eigenvalues of ``Omega @ cov`` come in pairs +-i nu, so each nu is
@@ -417,8 +354,8 @@ def symplectic_eigenvalues(cov: CovMatrix) -> np.ndarray:
     directly, rather than the roots of the eigenvalues of
     ``-(Omega @ cov)**2``, keeps a near-unit nu accurate next to a large one.
     """
-    omega = _symplectic_form(cov.n_modes)
-    moduli = np.sort(np.abs(np.linalg.eigvals(omega @ cov.data).imag))
+    omega = _symplectic_form(cov.shape[0] // 2)
+    moduli = np.sort(np.abs(np.linalg.eigvals(omega @ cov).imag))
     nus = 0.5 * (moduli[0::2] + moduli[1::2])
     return clamp_spectrum(nus[::-1])
 
@@ -443,19 +380,19 @@ def two_mode_eigs(a: float, b: float, c: float, xp=math) -> tuple[float, float]:
     return nu1, nu2
 
 
-def _partition_at(cov: CovMatrix, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def _partition_at(cov: np.ndarray, mode: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Move the measured mode last and split into (kept, cross, measured)."""
-    n = cov.n_modes
+    n = cov.shape[0] // 2
     if not 0 <= mode < n:
         raise UsageError(f"mode index {mode} out of range for {n} modes")
     if n == 1:
         raise UsageError("cannot condition away the only mode")
     order = [m for m in range(n) if m != mode] + [mode]
-    rearranged = _select_modes(cov.data, order)
+    rearranged = _select_modes(cov, order)
     return rearranged[:-2, :-2], rearranged[:-2, -2:], rearranged[-2:, -2:]
 
 
-def condition_heterodyne(cov: CovMatrix, mode: int) -> CovMatrix:
+def condition_heterodyne(cov: np.ndarray, mode: int) -> np.ndarray:
     """State of the remaining modes after heterodyning ``mode``.
 
     Requires the measured mode to be isotropic (equal q/p variances, no q-p
@@ -470,10 +407,10 @@ def condition_heterodyne(cov: CovMatrix, mode: int) -> CovMatrix:
         )
     v_b = 0.5 * (measured[0, 0] + measured[1, 1])
     out = kept - (cross @ cross.T) / (v_b + 1.0)
-    return _unchecked(CovMatrix, 0.5 * (out + out.T))
+    return 0.5 * (out + out.T)
 
 
-def condition_homodyne(cov: CovMatrix, mode: int, quad: Quadrature) -> CovMatrix:
+def condition_homodyne(cov: np.ndarray, mode: int, quad: Quadrature) -> np.ndarray:
     """State of the remaining modes after homodyning one quadrature of ``mode``.
 
     Only the measured-quadrature column of the cross correlations enters:
@@ -486,7 +423,7 @@ def condition_homodyne(cov: CovMatrix, mode: int, quad: Quadrature) -> CovMatrix
         raise DomainError(f"measured quadrature variance {v_b:.3e} is not positive")
     col = cross[:, k : k + 1]
     out = kept - (col @ col.T) / v_b
-    return _unchecked(CovMatrix, 0.5 * (out + out.T))
+    return 0.5 * (out + out.T)
 
 
 def von_neumann_entropy(eigs: Iterable[float], xp=math) -> float:

@@ -2,14 +2,16 @@
 
 The closed forms in :mod:`cvrate.cloner` collapse the eavesdropper's
 entropies to a quadratic equation. This module recomputes the same
-quantities the long way round. :func:`received_state` builds one state for
-every trust case: the transmitter/receiver state after the channel, written
-from the link's definition, then the receiver as a pure-loss beamsplitter
-and a quantum-limited amplifier, each on a vacuum ancilla. The trust case
-chooses only the state the eavesdropper purifies. With nothing trusted it
-is the received (A, B) marginal, so S(E|B) = S(A|B); with a trusted
-receiver it is the state after the channel, the ancillas are on the trusted
-side, and S(E|B) = S(A, anc1, anc2 | B).
+quantities the long way round, on covariance matrices held as plain
+``(2n, 2n)`` arrays: each step is a product S @ cov @ S.T or a Schur
+complement from :mod:`cvrate.gaussian`. :func:`received_state` builds one
+state for every trust case: the transmitter/receiver state after the
+channel, written from the link's definition, then the receiver as a
+pure-loss beamsplitter and a quantum-limited amplifier, each on a vacuum
+ancilla. The trust case chooses only the state the eavesdropper purifies.
+With nothing trusted it is the received (A, B) marginal, so S(E|B) =
+S(A|B); with a trusted receiver it is the state after the channel, the
+ancillas are on the trusted side, and S(E|B) = S(A, anc1, anc2 | B).
 
 It shares with the closed forms only ``LinkParams`` and its validation:
 none of the trust bookkeeping (``V -> V + xi_pr``, the ``xi_pr`` fold, the
@@ -22,6 +24,8 @@ from __future__ import annotations
 
 import math
 
+import numpy as np
+
 from .cloner import (
     Detection,
     LinkParams,
@@ -33,7 +37,6 @@ from .cloner import (
     receiver_folded,
 )
 from .gaussian import (
-    CovMatrix,
     Quadrature,
     apply_symplectic,
     beamsplitter,
@@ -52,7 +55,7 @@ from .gaussian import (
 )
 
 
-def _channel_state(params: LinkParams) -> CovMatrix:
+def _channel_state(params: LinkParams) -> np.ndarray:
     # (A, B) after the channel; trusted preparation noise is part of Alice's
     # modulation, otherwise it reaches B before the channel
     trusted_preparation = params.trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION
@@ -61,7 +64,7 @@ def _channel_state(params: LinkParams) -> CovMatrix:
     return two_mode_state(a, b, math.sqrt(params.t_ch * (a * a - 1.0)))
 
 
-def received_state(params: LinkParams) -> CovMatrix:
+def received_state(params: LinkParams) -> np.ndarray:
     """State (A, B, anc1, anc2) after the receiver, for every trust case.
 
     The receiver V_B -> t_rec V_B + 1 - t_rec + xi_rec is a beamsplitter of
@@ -75,7 +78,7 @@ def received_state(params: LinkParams) -> CovMatrix:
     return apply_symplectic(two_mode_squeezer(4, 1, 3, gain), state)
 
 
-def _eve_and_measured(params: LinkParams) -> tuple[CovMatrix, CovMatrix]:
+def _eve_and_measured(params: LinkParams) -> tuple[np.ndarray, np.ndarray]:
     # (state the eavesdropper purifies, state whose mode 1 the receiver measures)
     received = received_state(params)
     if params.trust is Trust.UNTRUSTED_ALL:
@@ -84,7 +87,7 @@ def _eve_and_measured(params: LinkParams) -> tuple[CovMatrix, CovMatrix]:
     return _channel_state(params), received
 
 
-def ab_matrix(params: LinkParams) -> CovMatrix:
+def ab_matrix(params: LinkParams) -> np.ndarray:
     """Transmitter-receiver state the eavesdropper purifies.
 
     With nothing trusted it is (A, B) after the receiver; with a trusted
@@ -93,7 +96,7 @@ def ab_matrix(params: LinkParams) -> CovMatrix:
     return _eve_and_measured(params)[0]
 
 
-def _measured_entropy(measured: CovMatrix, detection: Detection) -> float:
+def _measured_entropy(measured: np.ndarray, detection: Detection) -> float:
     if detection is Detection.HETERODYNE:
         remaining = condition_heterodyne(measured, 1)
     else:
@@ -131,7 +134,7 @@ def _sources(params: LinkParams) -> tuple[float, float, float, float, float]:
             *noise_source_variances(params))
 
 
-def purified_total_state(params: LinkParams) -> CovMatrix:
+def purified_total_state(params: LinkParams) -> np.ndarray:
     """Four-mode purified state (A, B, E1, E2) after the channel beamsplitter.
 
     The transmitter EPR pair and the channel-noise EPR pair are both pure, so
@@ -145,14 +148,14 @@ def purified_total_state(params: LinkParams) -> CovMatrix:
     return apply_symplectic(beamsplitter(4, 1, 2, t_ch), state)
 
 
-def assemble_and_propagate(params: LinkParams) -> CovMatrix:
+def assemble_and_propagate(params: LinkParams) -> np.ndarray:
     """Five-mode state after both beamsplitters.
 
     Mode order: (A, B, E1, E2, R) = transmitter arm, receiver arm, the two
     channel-EPR modes, and the receiver thermal mode. The channel
     beamsplitter mixes B with E1, the receiver beamsplitter mixes B with R.
     Preparation noise enters through the variance substitutions, never as a
-    sixth mode.
+    sixth mode. The two beamsplitters act as one product transform.
     """
     v, t_ch, t_rec, w_ch, w_rec = _sources(params)
     initial = direct_sum([epr_state(v), epr_state(w_ch), thermal_state(w_rec)])
@@ -161,7 +164,7 @@ def assemble_and_propagate(params: LinkParams) -> CovMatrix:
     return apply_symplectic(bs_rec @ bs_ch, initial)
 
 
-def eve_state(params: LinkParams) -> CovMatrix:
+def eve_state(params: LinkParams) -> np.ndarray:
     """Two-mode state held by the eavesdropper after the channel beamsplitter.
 
     Closed form: diagonal blocks ((1 - t_ch) V + t_ch W_ch) and W_ch, with

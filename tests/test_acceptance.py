@@ -154,7 +154,7 @@ def test_criterion_06_propagated_block_matches_two_mode_form():
         expected[:2, 2:] = c * SZ
         expected[2:, :2] = c * SZ
         ab = extract_modes(assemble_and_propagate(q), [0, 1])
-        worst = max(worst, float(np.max(np.abs(ab.data - expected))))
+        worst = max(worst, float(np.max(np.abs(ab - expected))))
     report(6, "propagated transmitter-receiver block is the two-mode form", worst < 1e-12,
            f"worst entry mismatch = {worst:.3e} < 1e-12")
 

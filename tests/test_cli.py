@@ -1,6 +1,10 @@
+import contextlib
 import csv
+import io
 import json
+import math
 import os
+import random
 import re
 import subprocess
 import sys
@@ -645,3 +649,127 @@ def test_shipped_configs_match_golden_bytes(tmp_path, argv, golden):
     out = tmp_path / golden
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+
+
+# The output contract over generated INI files: every command exits 0 or 2
+# (3 only for an unreachable SNR lock), a failure prints one stderr line and
+# no traceback, and a success prints strict JSON or a CSV of finite numbers.
+# main runs in process, so an escaped exception or a numpy RuntimeWarning
+# (an error under this suite's filterwarnings) fails the example outright.
+_EDGE_VALUES = (0.0, 5e-324, 1e-300, 1.0 - 1e-16, 1e19, 1e150, 1.7e308)
+_TEXT_COLUMNS = {"variable_name", "trust", "detection"}
+
+
+def _contract_config(seed, command, optimize_vmod=False):
+    # one INI file per seed; drawing its values from a seeded generator, not
+    # one hypothesis draw each, keeps an example near 1 ms
+    rng = random.Random(seed)
+
+    def num(lo, hi):
+        # an edge value one time in four, else log-uniform over [10**lo, 10**hi]
+        return rng.choice(_EDGE_VALUES) if rng.random() < 0.25 else 10.0 ** rng.uniform(lo, hi)
+
+    def maybe(value):
+        return value if rng.random() < 0.5 else None
+
+    def section(name, keys):
+        return f"[{name}]\n" + "".join(f"{k} = {v}\n" for k, v in keys.items() if v is not None)
+
+    by_fibre = rng.random() < 0.5
+    link = {
+        "v_mod": num(-3, 4) if command == "rate" else maybe(num(-3, 4)),
+        "xi_pr": maybe(num(-9, 0)),
+        "t_ch": None if by_fibre else num(-4, 0),
+        "distance_km": num(-2, 3) if by_fibre else None,
+        "xi_ch": num(-9, 0),
+        "t_rec": num(-3, 0),
+        "xi_rec": num(-9, 1),
+        "detection": rng.choice(list(Detection)).value,
+        "trust": rng.choice(list(Trust)).value,
+    }
+    protocol = {"beta": num(-2, 0), "fer": maybe(num(-6, 0)),
+                "disclosed_fraction": maybe(num(-6, 0)), "f_sym": maybe(num(0, 12))}
+    text = section("link", link) + section("protocol", protocol)
+    if by_fibre:
+        text += section("fiber", {"attenuation_db_per_km": maybe(num(-3, 0))})
+    if command == "optimize":
+        text += section("optimize", {"snr_target": num(-3, 2), "vmod_lo": maybe(num(-4, 1)),
+                                     "vmod_hi": maybe(num(0, 4)), "t_rec_floor": maybe(num(-4, 0))})
+    if command == "sweep":
+        start, stop = sorted([num(-9, 3), num(-9, 3)])
+        trusts = rng.sample(list(Trust), rng.randint(1, 3))
+        text += section("sweep", {"variable": rng.choice(SWEEP_VARIABLES), "start": start, "stop": stop,
+                                  "points": rng.randint(2, 5), "scale": rng.choice(["linear", "log"]),
+                                  "trust_cases": ", ".join(t.value for t in trusts),
+                                  "optimize_vmod": str(optimize_vmod).lower()})
+    return text
+
+
+@pytest.fixture(scope="module")
+def contract_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("contract")
+
+
+def _assert_output_contract(directory, seed, command, mode=None, optimize_vmod=False):
+    text = _contract_config(seed, command, optimize_vmod)
+    cfg, out = directory / "case.ini", directory / "case.csv"
+    cfg.write_text(text)
+    out.unlink(missing_ok=True)
+    argv = [command, "--config", str(cfg)]
+    argv += ["--out", str(out)] if command == "sweep" else []
+    argv += ["--mode", mode] if mode else []
+    stdout, stderr = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+        code = main(argv)
+    assert code in ((0, 2, 3) if mode == "vmod_trec_snr" else (0, 2)), text
+    if code:
+        assert stderr.getvalue().count("\n") == 1 and stderr.getvalue().endswith("\n"), text
+        assert stdout.getvalue() == "" and not out.exists(), text
+        return
+    assert stderr.getvalue() == "", text
+    if command != "sweep":
+        json.loads(stdout.getvalue(), parse_constant=_reject_constant)
+        return
+    with open(out, newline="") as fh:
+        rows = list(csv.DictReader(fh))
+    assert rows, text
+    for row in rows:
+        for column, cell in row.items():
+            if column not in _TEXT_COLUMNS and cell != "":
+                assert math.isfinite(float(cell)), (column, cell, text)
+
+
+def _reject_constant(name):
+    raise ValueError(f"JSON output holds {name}")
+
+
+_SEEDS = st.integers(0, 2**32 - 1)
+
+
+class TestOutputContract:
+    # examples per command: rate 300, each optimize mode 120, sweep 120 and
+    # sweep with optimize_vmod 50; about 3 s in all
+    @given(_SEEDS)
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_rate(self, contract_dir, seed):
+        _assert_output_contract(contract_dir, seed, "rate")
+
+    @given(_SEEDS)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_optimize_vmod(self, contract_dir, seed):
+        _assert_output_contract(contract_dir, seed, "optimize", mode="vmod")
+
+    @given(_SEEDS)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_optimize_vmod_trec_snr(self, contract_dir, seed):
+        _assert_output_contract(contract_dir, seed, "optimize", mode="vmod_trec_snr")
+
+    @given(_SEEDS)
+    @settings(max_examples=120, deadline=None, derandomize=True)
+    def test_sweep(self, contract_dir, seed):
+        _assert_output_contract(contract_dir, seed, "sweep")
+
+    @given(_SEEDS)
+    @settings(max_examples=50, deadline=None, derandomize=True)
+    def test_sweep_optimize_vmod(self, contract_dir, seed):
+        _assert_output_contract(contract_dir, seed, "sweep", optimize_vmod=True)

@@ -135,19 +135,19 @@ class TestPropagation:
     def test_perfect_link_keeps_epr_block(self):
         total = assemble_and_propagate(perfect())
         ab = extract_modes(total, [0, 1])
-        assert np.allclose(ab.data, epr_state(5.0).data, atol=1e-12)
+        assert np.allclose(ab, epr_state(5.0), atol=1e-12)
 
     def test_receiver_variance_value(self):
         p = make()
         assert _noise_model(*_args(p))[5] == pytest.approx(2.33, abs=1e-14)
         total = assemble_and_propagate(p)
-        assert total.data[2, 2] == pytest.approx(2.33, abs=1e-12)
+        assert total[2, 2] == pytest.approx(2.33, abs=1e-12)
 
     def test_eve_block_matches_closed_form(self):
         p = make()
         total = assemble_and_propagate(p)
         eve = extract_modes(total, [2, 3])
-        assert np.allclose(eve.data, eve_state(p).data, atol=1e-12)
+        assert np.allclose(eve, eve_state(p), atol=1e-12)
 
     def test_spectrum_preserved_by_propagation(self):
         p = make()
@@ -169,13 +169,13 @@ class TestPropagation:
             expected[:2, 2:] = c * SZ
             expected[2:, :2] = c * SZ
             ab = extract_modes(assemble_and_propagate(q), [0, 1])
-            assert np.max(np.abs(ab.data - expected)) < 1e-12
+            assert np.max(np.abs(ab - expected)) < 1e-12
 
 
 class TestEveState:
     def test_transparent_channel_decouples_eve(self):
         p = make(t_ch=1.0, xi_ch=0.0)
-        assert np.allclose(eve_state(p).data, np.eye(4), atol=1e-10)
+        assert np.allclose(eve_state(p), np.eye(4), atol=1e-10)
         nus = symplectic_eigenvalues(eve_state(p))
         assert von_neumann_entropy(nus) == pytest.approx(0.0, abs=1e-9)
 
@@ -188,15 +188,13 @@ class TestEveState:
         c = math.sqrt(t * (v * v - 1))
         ab[:2, 2:] = c * SZ
         ab[2:, :2] = c * SZ
-        from cvrate.gaussian import CovMatrix
-
-        s_ab = von_neumann_entropy(symplectic_eigenvalues(CovMatrix(ab)))
+        s_ab = von_neumann_entropy(symplectic_eigenvalues(ab))
         s_e = von_neumann_entropy(symplectic_eigenvalues(eve_state(p)))
         assert s_e == pytest.approx(s_ab, abs=1e-10)
 
     def test_trusted_prep_substitution_changes_alice_entry(self):
         p = make(xi_pr=0.3, trust=Trust.TRUSTED_RECEIVER_AND_PREPARATION)
-        a = eve_state(p).data[0, 0]
+        a = eve_state(p)[0, 0]
         assert a == pytest.approx((1 - 0.5) * 5.3 + 0.5 * 1.1, abs=1e-12)
 
 
@@ -250,7 +248,7 @@ class TestConditionalClosedForms:
         e6 = w_ch
 
         total = assemble_and_propagate(p)
-        eve_q = extract_modes(condition_homodyne(total, 1, Quadrature.Q), [1, 2]).data
+        eve_q = extract_modes(condition_homodyne(total, 1, Quadrature.Q), [1, 2])
         expected_q = np.array(
             [[e1, 0, e2, 0], [0, e3, 0, e4], [e2, 0, e5, 0], [0, e4, 0, e6]]
         )
@@ -258,7 +256,7 @@ class TestConditionalClosedForms:
 
         # the p-measurement block is the same set with quadratures swapped and
         # the cross-correlation signs flipped
-        eve_p = extract_modes(condition_homodyne(total, 1, Quadrature.P), [1, 2]).data
+        eve_p = extract_modes(condition_homodyne(total, 1, Quadrature.P), [1, 2])
         expected_p = np.array(
             [[e3, 0, -e4, 0], [0, e1, 0, -e2], [-e4, 0, e6, 0], [0, -e2, 0, e5]]
         )
@@ -278,7 +276,7 @@ class TestConditionalClosedForms:
         expected_het /= v_b + 1
         eve_het = extract_modes(
             condition_heterodyne(assemble_and_propagate(ph), 1), [1, 2]
-        ).data
+        )
         assert np.max(np.abs(eve_het - expected_het)) < 1e-12
 
     def test_closed_forms_match_pipeline_on_mini_grid(self):

@@ -56,11 +56,27 @@ def test_test_only_helpers_are_gone():
                  "assemble_and_propagate", "eve_state"),
         keyrate: ("mutual_information",),
         optimize: ("vmod_for_snr",),
-        gaussian: ("symplectic_form",),
+        gaussian: ("symplectic_form", "CovMatrix", "_unchecked", "PHYSICALITY_TOL"),
         purification: ("purity_check",),
     }
     for module, names in gone.items():
         assert [name for name in names if hasattr(module, name)] == [], module.__name__
+
+
+def test_states_and_transforms_are_plain_arrays():
+    # SympMatrix only checks a transform; no operation takes or returns one
+    import numpy as np
+
+    import cvrate.gaussian as gaussian
+    import cvrate.purification as purification
+    from cvrate.cloner import Detection, LinkParams, Trust
+
+    assert not hasattr(gaussian.SympMatrix, "__matmul__")
+    p = LinkParams(v_mod=4.0, t_ch=0.5, t_rec=0.6, xi_ch=0.01, xi_rec=0.05, xi_pr=0.0,
+                   detection=Detection.HOMODYNE, trust=Trust.TRUSTED_RECEIVER)
+    state = purification.received_state(p)
+    assert type(state) is np.ndarray
+    assert np.array_equal(state, state.T)
 
 
 def test_column_has_no_pair_sort():

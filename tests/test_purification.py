@@ -74,11 +74,11 @@ HARD_LINKS = {
 class TestAbMatrices:
     def test_untrusted_perfect_link_is_shared_epr(self):
         p = make(t_ch=1.0, xi_ch=0.0, t_rec=1.0, xi_rec=0.0)
-        assert np.allclose(ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)).data, epr_state(5.0).data)
+        assert np.allclose(ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)), epr_state(5.0))
 
     def test_untrusted_receiver_entry(self):
         p = make()  # T_tot = 0.3, xi_tot = 0.6*0.05 + 0.1 = 0.13
-        assert ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)).data[2, 2] == pytest.approx(
+        assert ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL))[2, 2] == pytest.approx(
             0.3 * 4 + 1 + 0.13, abs=1e-14)
 
     def test_untrusted_eigenvalues_match_closed_pair(self):
@@ -91,7 +91,7 @@ class TestAbMatrices:
 
     def test_trusted_equals_untrusted_for_ideal_receiver(self):
         p = make(t_rec=1.0, xi_rec=0.0)
-        assert np.allclose(ab_matrix(p).data, ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)).data,
+        assert np.allclose(ab_matrix(p), ab_matrix(replace(p, trust=Trust.UNTRUSTED_ALL)),
                            atol=1e-12)
 
     def test_trusted_entropy_equals_eve_entropy(self):
@@ -104,7 +104,7 @@ class TestAbMatrices:
 
     def test_trusted_prep_substitution(self):
         p = make(xi_pr=0.3, trust=Trust.TRUSTED_RECEIVER_AND_PREPARATION)
-        assert ab_matrix(p).data[0, 0] == pytest.approx(5.3, abs=1e-14)
+        assert ab_matrix(p)[0, 0] == pytest.approx(5.3, abs=1e-14)
         s_ab = von_neumann_entropy(symplectic_eigenvalues(ab_matrix(p)))
         s_e = von_neumann_entropy(symplectic_eigenvalues(eve_state(p)))
         assert s_ab == pytest.approx(s_e, abs=1e-10)
