@@ -11,8 +11,9 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid physics or configuration,
 files. Without ``optimize_vmod`` a sweep evaluates each trust case's whole
 grid in one pass through the closed forms, the swept field a
 ``gaussian.Column`` (``keyrate._swept_rates``); a row that pass leaves to the
-float path goes through ``evaluate`` in sweep order, so an error names the
-row the per-row evaluation would. ``sweep --jobs N`` is accepted and ignored.
+float path (the minority side of a branch, or any row of a failed pass) goes
+through ``evaluate`` in sweep order, so an error names the row the per-row
+evaluation would. ``sweep --jobs N`` is accepted and ignored.
 """
 
 from __future__ import annotations

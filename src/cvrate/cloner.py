@@ -22,8 +22,9 @@ grid, the others staying floats. The steps that depend on the operand kind go
 through one seam: ``xp.sqrt`` and ``xp.log2`` (``xp`` is ``math`` on floats and
 ``Column`` on a column), ``x ** 2``, the branch conditions and
 ``clamp_spectrum``; ``Column`` documents how each keeps a row's bits equal to
-the float path's, and marks the rows it leaves to that path. Every
-eigenvalue pair comes out larger first, on floats and on a column alike.
+the float path's. A branch the rows of a column disagree on raises, and the
+sweep reruns without the minority. Every eigenvalue pair comes out larger
+first, on floats and on a column alike.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.

@@ -18,6 +18,8 @@ eigenvalues +-i nu of ``Omega @ cov``, without squaring the matrix.
 ``Column`` is the array operand of the closed forms in :mod:`cvrate.cloner`:
 one value per row of a sweep grid, taken by ``two_mode_eigs``,
 ``clamp_spectrum`` and ``von_neumann_entropy`` wherever they take a float.
+It holds nothing but its values; the state of a pass over a grid lives in
+``keyrate._swept_rates``.
 """
 
 from __future__ import annotations
@@ -255,9 +257,9 @@ def clamp_spectrum(values):
     Values in [1 - 1e-9, 1) become exactly 1; anything below them raises
     PhysicalityError naming the offending value. A tuple comes back as a
     tuple: a pair of floats from the closed forms is clamped on floats, with
-    no numpy round trip, and a pair of swept columns row by row (see
-    ``Column``). Any other input comes back as an array of its shape, the
-    input itself when no value lies below 1.
+    no numpy round trip, and a pair of swept columns each as a whole, which
+    is rejected if any of its rows is. Any other input comes back as an
+    array of its shape, the input itself when no value lies below 1.
     """
     if isinstance(values, tuple):
         if any(isinstance(nu, Column) for nu in values):
@@ -267,6 +269,14 @@ def clamp_spectrum(values):
     if not (values < 1.0).any():
         return values
     return np.array(_clamp_floats(values.ravel().tolist())).reshape(values.shape)
+
+
+class _Split(Exception):
+    """Rows of a column that take different branches; ``majority`` masks the
+    side most of them take (the false side on a tie)."""
+
+    def __init__(self, majority: np.ndarray):
+        self.majority = majority
 
 
 class Column(np.ndarray):
@@ -281,25 +291,17 @@ class Column(np.ndarray):
     - ``Column.sqrt`` and ``Column.log2`` stand in for ``math``'s (the
       kernel's ``xp``); ``log2`` calls ``math.log2`` per row, since
       ``np.log2`` rounds differently on some inputs;
-    - a branch condition over a column follows the branch most pending rows
-      take; ``clamp_spectrum`` snaps a column row by row, so that it never
-      splits a grid.
+    - a branch condition is its rows' common truth value, and raises
+      ``_Split`` where they differ;
+    - ``clamp_spectrum`` applies its rule to the whole column.
 
-    A row that takes another branch, or where the float path would raise,
-    is marked in ``redo`` (shared by every column of one pass) for the
-    float path to evaluate instead; its value here is meaningless.
+    A column holds nothing but its values; a pass runs under
+    ``np.errstate(all="raise")``, so that numpy raises where floats would.
     """
 
-    redo: np.ndarray
-
     @classmethod
-    def of(cls, values, redo: np.ndarray) -> "Column":
-        column = np.array(values, dtype=float).view(cls)
-        column.redo = redo
-        return column
-
-    def __array_finalize__(self, obj):
-        self.redo = getattr(obj, "redo", None)
+    def of(cls, values) -> "Column":
+        return np.asarray(values, dtype=float).view(cls)
 
     def __bool__(self) -> bool:
         cond = self.view(np.ndarray)
@@ -307,43 +309,26 @@ class Column(np.ndarray):
             return False
         if cond.all():
             return True
-        pending = ~self.redo
-        taken = bool(2 * np.count_nonzero(cond & pending) > np.count_nonzero(pending))
-        self.redo |= cond != taken
-        return taken
+        raise _Split(cond if 2 * np.count_nonzero(cond) > cond.size else ~cond)
 
     def __pow__(self, exponent):
-        out = np.float_power(self, exponent)
-        self.redo |= np.isinf(out) & np.isfinite(self)  # float ** raises OverflowError
-        return out
+        return np.float_power(self, exponent)
 
     @staticmethod
     def sqrt(x):
-        if not isinstance(x, Column):
-            return math.sqrt(x)
-        x.redo |= x.view(np.ndarray) < 0.0  # math.sqrt raises
-        return np.sqrt(x)
+        return np.sqrt(x) if isinstance(x, Column) else math.sqrt(x)
 
     @staticmethod
     def log2(x):
         if not isinstance(x, Column):
             return math.log2(x)
-        rows = x.view(np.ndarray)
-        ok = rows > 0.0
-        if not ok.all():
-            x.redo |= ~ok  # math.log2 raises, or the row is NaN
-            rows = np.where(ok, rows, 1.0)
-        return Column.of(list(map(math.log2, rows.tolist())), x.redo)
+        return Column.of(list(map(math.log2, x.tolist())))
 
     def clamped(self) -> "Column":
-        """clamp_spectrum row by row: a row it would reject goes to ``redo``."""
-        out = self.copy()
-        for i in np.flatnonzero(self.view(np.ndarray) < 1.0).tolist():
-            try:
-                out[i] = _clamp_floats([float(self[i])])[0]
-            except PhysicalityError:
-                self.redo[i] = True
-        return out
+        """clamp_spectrum's rule on the whole column: rejected if any row is."""
+        if (self.view(np.ndarray) < 1.0 - CLAMP_TOL).any():
+            _clamp_floats(self.tolist())  # raises, naming the smallest row
+        return np.maximum(self, 1.0)
 
 
 def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:

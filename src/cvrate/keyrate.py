@@ -4,7 +4,7 @@ Combines the mutual information of the Gaussian channel with the
 eavesdropper bound from :mod:`cvrate.cloner` and the classical
 post-processing parameters into a single result record. ``_swept_rates``
 gives the numbers of a whole sweep grid, the swept field a
-``gaussian.Column``.
+``gaussian.Column``, and holds all the state of that pass.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloner import _FIELDS, Detection, LinkParams, Trust, _args, _holevo, _in_domain, _xi_tot, holevo_bound
 from .errors import DomainError
-from .gaussian import Column
+from .gaussian import Column, _Split
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -100,26 +100,35 @@ def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> l
     """(SNR, I_AB, chi, secret fraction) of ``link`` (as ``cloner._args``
     gives it) with its ``field`` set to each of ``values``.
 
-    One pass through the closed forms with that field a ``Column``. A row
-    gets None where the float path must decide it: a value ``LinkParams``
-    rejects, a row the column marks for redo, or a non-finite result. Every
-    other row has the bits ``evaluate`` gives it.
+    One pass through the closed forms with that field a ``Column`` of the
+    rows ``LinkParams`` accepts. A branch the rows split on drops the
+    minority and reruns; rows are independent, so that branch stays
+    unanimous. Any other error, or a non-finite result, leaves the grid to
+    the float path. A row gets None where the float path must decide it;
+    every other row has the bits ``evaluate`` gives it.
     """
-    redo = ~_in_domain(field, np.array(values, dtype=float))
+    values = np.array(values, dtype=float)
+    rows = np.flatnonzero(_in_domain(field, values))
     index = _FIELDS.index(field)
-    link = link[:index] + (Column.of(values, redo),) + link[index + 1:]
-    with np.errstate(all="ignore"):
-        try:
-            rates = _rates(beta, *link, Column)
-        except (ArithmeticError, ValueError, TypeError):
-            # a branch most rows take raises, or a part of the link the
-            # column does not reach is rejected: the float path decides
-            return [None] * len(values)
-    table = np.empty((len(rates), len(values)))
-    for out, rate in zip(table, rates):
-        out[:] = rate  # a rate the column does not reach is a float
-    redo |= ~np.isfinite(table).all(axis=0)
-    return [None if skip else row for skip, row in zip(redo.tolist(), table.T.tolist())]
+    out = [None] * len(values)
+    if not rows.size:
+        return out
+    with np.errstate(all="raise", under="ignore"):
+        while True:
+            try:
+                rates = _rates(beta, *link[:index], Column.of(values[rows]), *link[index + 1:], Column)
+                break
+            except _Split as split:
+                rows = rows[split.majority]
+            except (ArithmeticError, ValueError, TypeError):
+                # a row the float path may reject, or a part of the link the
+                # column does not reach is rejected: the float path decides
+                return out
+    table = np.array([np.broadcast_to(rate, rows.size) for rate in rates])  # a rate may be a float
+    if np.isfinite(table).all():
+        for i, row in zip(rows.tolist(), table.T.tolist()):
+            out[i] = row
+    return out
 
 
 def _key_rate(proto: ProtocolParams, secret: float) -> float | None:

@@ -17,8 +17,6 @@ import math
 from dataclasses import dataclass, replace
 from typing import Callable
 
-import numpy as np
-
 from .cloner import LinkParams, Trust, _args, _xi_tot
 from .errors import ConstraintError, DomainError, UsageError
 from .keyrate import ProtocolParams, RateResult, _rates, evaluate, snr
@@ -59,7 +57,9 @@ def _golden_max(
 
     A 64-point log grid brackets the optimum before golden-section
     refinement, guarding against flat or mildly multimodal objectives. The
-    returned point is never worse than any probe made along the way.
+    returned point is never worse than any probe made along the way; the
+    coarse stage centres on the first grid maximum. A NaN probe raises
+    DomainError naming its point.
     """
     if not 0.0 < lo < hi < math.inf:
         raise UsageError(f"bounds must be finite and satisfy 0 < lo < hi, got ({lo}, {hi})")
@@ -68,12 +68,15 @@ def _golden_max(
 
     def probe(u: float) -> float:
         val = fn(math.exp(u))
+        if math.isnan(val):
+            raise DomainError(f"the objective is NaN at {math.exp(u):.6g}")
         probes.append((u, val))
         return val
 
-    grid = np.linspace(u_lo, u_hi, _COARSE_POINTS)
+    step = (u_hi - u_lo) / (_COARSE_POINTS - 1)
+    grid = [i * step + u_lo for i in range(_COARSE_POINTS - 1)] + [u_hi]  # np.linspace's bits
     values = [probe(u) for u in grid]
-    best = int(np.argmax(values))
+    best = values.index(max(values))
 
     a = grid[max(best - 1, 0)]
     b = grid[min(best + 1, _COARSE_POINTS - 1)]

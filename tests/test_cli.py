@@ -403,12 +403,20 @@ class TestSweepRows:
         "t_rec": st.floats(min_value=-0.1, max_value=1.2),
         "v_mod": st.one_of(st.floats(min_value=1e-4, max_value=1e4), st.sampled_from([1e14, 1e17])),
     }
+    # a branch edge of each variable (zero noise, a lossless channel or
+    # receiver): a grid ending there splits the array pass, which reruns on
+    # the other rows
+    edges = {"distance_km": 0.0, "xi_ch": 0.0, "xi_rec": 0.0, "xi_pr": 0.0, "t_rec": 1.0}
 
     @given(st.data())
     @settings(max_examples=150, deadline=None)
     def test_rows_and_first_error_match_per_row_evaluation(self, data):
         variable = data.draw(st.sampled_from(SWEEP_VARIABLES))
-        start, stop = sorted(data.draw(st.lists(self.bounds[variable], min_size=2, max_size=2, unique=True)))
+        ends = data.draw(st.lists(self.bounds[variable], min_size=2, max_size=2, unique=True))
+        edge = self.edges.get(variable)
+        if edge is not None and edge not in ends and data.draw(st.sampled_from([True, True, True, False])):
+            ends[0] = edge  # 3 grids in 4
+        start, stop = sorted(ends)
         scale = data.draw(st.sampled_from(["linear", "log"])) if start > 0.0 else "linear"
         trusts = data.draw(st.lists(st.sampled_from(Trust), min_size=1, max_size=3, unique=True))
         spec = SweepSpec(variable=variable, start=start, stop=stop, points=data.draw(st.integers(2, 9)),
@@ -436,6 +444,23 @@ class TestSweepRows:
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
         assert capsys.readouterr().err == "invalid input: xi_ch must be finite and >= 0, got -0.1\n"
+        assert not out.exists()
+
+    def test_row_the_clamp_rejects_fails_the_sweep(self, tmp_path, capsys):
+        # heterodyne trusted_receiver evaluates v_mod up to 1e16; at 1e17 the
+        # clamp rejects a spectrum value, so the whole sweep fails at that row
+        cfg = write(tmp_path, "clamp.ini", self._config("v_mod", 1e14, 1e17, 4, "log", "trusted_receiver"))
+        base = LinkParams(v_mod=1.0, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1,
+                          detection=Detection.HETERODYNE, trust=Trust.TRUSTED_RECEIVER)
+        proto = ProtocolParams(beta=0.95)
+        *valid, last = np.geomspace(1e14, 1e17, 4).tolist()
+        for v_mod in valid:
+            evaluate(replace(base, v_mod=v_mod), proto)
+        with pytest.raises(PhysicalityError, match="violates the uncertainty bound") as rejected:
+            evaluate(replace(base, v_mod=last), proto)
+        out = tmp_path / "x.csv"
+        assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
+        assert capsys.readouterr().err == f"invalid input: {rejected.value}\n"
         assert not out.exists()
 
     def test_first_failing_row_wins_across_trust_cases(self, tmp_path, capsys):

@@ -356,9 +356,34 @@ class TestSweptRates:
     def test_values_linkparams_rejects_go_to_the_float_path(self, field, values):
         assert _rows_against_evaluate(make(), field, values) == list(range(1, len(values)))
 
+    @pytest.fixture
+    def passes(self, monkeypatch):
+        # the trust case of every pass _swept_rates makes over a column
+        import cvrate.keyrate as keyrate
+
+        seen = []
+        rates = keyrate._rates
+
+        def spy(beta, *link):
+            seen.append(link[7])
+            return rates(beta, *link)
+
+        monkeypatch.setattr(keyrate, "_rates", spy)
+        return seen
+
     @pytest.mark.parametrize("detection", list(Detection))
     @pytest.mark.parametrize("trust", list(Trust))
-    def test_typical_grid_needs_no_float_path(self, detection, trust):
+    def test_typical_grid_needs_no_float_path(self, passes, detection, trust):
         p = make(xi_pr=0.05, detection=detection, trust=trust)
         grid = [10.0 ** (-0.02 * d) for d in range(1, 81)]  # 1 to 80 km of 0.2 dB/km fibre
         assert _rows_against_evaluate(p, "t_ch", grid) == []
+        assert passes == [trust]
+
+    @pytest.mark.parametrize("detection", list(Detection))
+    @pytest.mark.parametrize("trust", list(Trust))
+    def test_zero_start_receiver_noise_reruns_once(self, passes, detection, trust):
+        # on a link with no other noise the noiseless row takes the other side
+        # of a noise branch: the first pass splits, the second runs on the rest
+        p = make(xi_ch=0.0, detection=detection, trust=trust)
+        assert _rows_against_evaluate(p, "xi_rec", [0.01 * k for k in range(21)]) == [0]
+        assert passes == [trust, trust]

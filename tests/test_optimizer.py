@@ -79,6 +79,45 @@ class TestOptimizeVmod:
             assert abs(math.log(opt.v_mod) - math.log(grid[best])) <= du
 
 
+class TestGoldenMax:
+    """The search itself, on objectives of its own."""
+
+    @staticmethod
+    def _probes(fn, lo, hi):
+        from cvrate.optimize import _golden_max
+
+        seen = []
+
+        def objective(x):
+            seen.append(x)
+            return fn(x)
+
+        return _golden_max(objective, lo, hi, prefer_high=False), seen
+
+    def test_coarse_grid_is_linspace_bit_for_bit(self):
+        rng = np.random.default_rng(7)
+        for lo, hi in [(1e-3, 1e3), (0.5, 0.5000000001), *np.sort(rng.uniform(1e-6, 1e6, (50, 2)))]:
+            _, seen = self._probes(lambda x: -abs(math.log(x)), lo, hi)
+            grid = np.linspace(math.log(lo), math.log(hi), 64).tolist()
+            assert seen[:64] == [math.exp(u) for u in grid]
+
+    def test_coarse_stage_centres_on_the_first_maximum(self):
+        # two equal peaks on grid points 10 and 50: golden-section steps stay
+        # between the neighbours of the first
+        lo, hi = 1e-3, 1e3
+        grid = [math.exp(u) for u in np.linspace(math.log(lo), math.log(hi), 64)]
+        (x_star, _), seen = self._probes(lambda x: 1.0 if x in (grid[10], grid[50]) else 0.0, lo, hi)
+        assert x_star == grid[10]
+        assert all(grid[9] <= x <= grid[11] for x in seen[64:])
+
+    @pytest.mark.parametrize("nan_at", [0, 20, 63])
+    def test_nan_probe_raises_naming_its_point(self, nan_at):
+        lo, hi = 1e-3, 1e3
+        grid = [math.exp(u) for u in np.linspace(math.log(lo), math.log(hi), 64)]
+        with pytest.raises(DomainError, match=f"the objective is NaN at {grid[nan_at]:.6g}$"):
+            self._probes(lambda x: math.nan if x == grid[nan_at] else -abs(math.log(x)), lo, hi)
+
+
 def vmod_for_snr(p, target):
     # the exact SNR inversion the SNR-locked search makes at every probe
     return target * (p.mu + p.xi_tot) / p.t_tot

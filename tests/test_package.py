@@ -84,3 +84,21 @@ def test_column_has_no_pair_sort():
     import cvrate.gaussian as gaussian
 
     assert not hasattr(gaussian.Column, "descending")
+
+
+def test_column_holds_nothing_but_its_values():
+    # the state of a pass over a grid lives in keyrate._swept_rates
+    from cvrate.gaussian import Column
+
+    assert "__array_finalize__" not in vars(Column)
+    assert "redo" not in getattr(Column, "__annotations__", {})
+    column = Column.of([0.5, 2.0])
+    derived = [column * 2.0, column ** 2, Column.sqrt(column), Column.log2(column), column < 1.0]
+    assert all(type(x) is Column and vars(x) == {} for x in [column, *derived])
+
+
+def test_optimizer_imports_no_numpy():
+    tree = ast.parse((ROOT / "src" / "cvrate" / "optimize.py").read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.Import) for alias in node.names}
+    imported |= {node.module for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)}
+    assert not any(name and name.split(".")[0] == "numpy" for name in imported)
