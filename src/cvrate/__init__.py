@@ -2,7 +2,7 @@
 
 The package namespace holds what a key-rate caller uses: the link and
 protocol records, the closed-form Holevo bound, key-rate evaluation, the two
-optimizers and the typed errors. The matrix algebra, noise-model helpers,
+optimizers and the typed errors. The matrix algebra, trust bookkeeping helpers,
 purification oracle and config records are imported from their modules
 (``cvrate.gaussian``, ``cvrate.cloner``, ``cvrate.purification``,
 ``cvrate.config``).

@@ -16,8 +16,8 @@ The generic solver ``symplectic_eigenvalues`` reads the spectrum off the
 eigenvalues +-i nu of ``Omega @ cov``, without squaring the matrix.
 
 ``Column`` is the array operand of the closed forms in :mod:`cvrate.cloner`:
-one value per row of a sweep grid, taken by ``two_mode_eigs``,
-``clamp_spectrum`` and ``von_neumann_entropy`` wherever they take a float.
+one value per row of a sweep grid, taken by ``clamp_spectrum`` and
+``von_neumann_entropy`` wherever they take a float.
 It holds nothing but its values; the state of a pass over a grid lives in
 ``keyrate._swept_rates``.
 """
@@ -39,6 +39,8 @@ SIGMA_Z = np.diag([1.0, -1.0])
 # to exactly 1; further below they violate the uncertainty principle.
 CLAMP_TOL = 1e-9
 
+_LN2 = math.log(2.0)
+
 
 class Quadrature(enum.Enum):
     """Quadrature selected by a homodyne measurement."""
@@ -53,7 +55,7 @@ class SympMatrix:
     Nothing in the package builds one; its transforms are plain arrays,
     symplectic by construction. The constructor stays as the check that
     claim is tested with, and as the construction the benchmark's tracer
-    counts until the run counters of ROADMAP item 6 replace it.
+    counts until the run counters of ROADMAP item 3 replace it.
     """
 
     __slots__ = ("data",)
@@ -285,12 +287,10 @@ class Column(np.ndarray):
     The closed forms take a column wherever they take a float, and give each
     row the bits the float path gives it:
 
-    - arithmetic is IEEE on both; ``x ** 2`` calls C ``pow`` through
-      ``float_power``, as a float's does (numpy's own ``**`` squares by
-      multiplication, which rounds differently);
-    - ``Column.sqrt`` and ``Column.log2`` stand in for ``math``'s (the
-      kernel's ``xp``); ``log2`` calls ``math.log2`` per row, since
-      ``np.log2`` rounds differently on some inputs;
+    - arithmetic is IEEE on both (the kernel squares by multiplication);
+    - ``Column.sqrt``, ``Column.log2`` and ``Column.log1p`` stand in for
+      ``math``'s (the kernel's ``xp``); the logarithms call ``math``'s per
+      row, since numpy's round differently on some inputs;
     - a branch condition is its rows' common truth value, and raises
       ``_Split`` where they differ;
     - ``clamp_spectrum`` applies its rule to the whole column.
@@ -311,9 +311,6 @@ class Column(np.ndarray):
             return True
         raise _Split(cond if 2 * np.count_nonzero(cond) > cond.size else ~cond)
 
-    def __pow__(self, exponent):
-        return np.float_power(self, exponent)
-
     @staticmethod
     def sqrt(x):
         return np.sqrt(x) if isinstance(x, Column) else math.sqrt(x)
@@ -323,6 +320,12 @@ class Column(np.ndarray):
         if not isinstance(x, Column):
             return math.log2(x)
         return Column.of(list(map(math.log2, x.tolist())))
+
+    @staticmethod
+    def log1p(x):
+        if not isinstance(x, Column):
+            return math.log1p(x)
+        return Column.of(list(map(math.log1p, x.tolist())))
 
     def clamped(self) -> "Column":
         """clamp_spectrum's rule on the whole column: rejected if any row is."""
@@ -345,22 +348,22 @@ def symplectic_eigenvalues(cov: np.ndarray) -> np.ndarray:
     return clamp_spectrum(nus[::-1])
 
 
-def two_mode_eigs(a: float, b: float, c: float, xp=math) -> tuple[float, float]:
+def two_mode_eigs(a: float, b: float, c: float) -> tuple[float, float]:
     """Symplectic eigenvalues of [[a I, c sigma_z], [c sigma_z, b I]].
 
     Returns ``(z + d) / 2`` and ``(z - d) / 2``, the larger first, with
     ``z = sqrt((a + b)**2 - 4 c**2)`` and ``d = |b - a|``; agrees with the
     generic solver on the assembled 4x4 matrix. The same clamping policy as
-    the generic solver is applied to the results; a float pair at or above 1
-    skips it. ``xp`` is ``math`` on floats and ``Column`` on a swept column.
+    the generic solver is applied to the results; a pair at or above 1
+    skips it.
     """
     disc = (a + b) ** 2 - 4.0 * c * c
     if disc < 0.0:
         raise DomainError(f"negative discriminant {disc:.3e} for a={a}, b={b}, c={c}")
-    z = xp.sqrt(disc)
+    z = math.sqrt(disc)
     d = abs(b - a)
     nu1, nu2 = 0.5 * (z + d), 0.5 * (z - d)
-    if xp is Column or nu2 < 1.0:
+    if nu2 < 1.0:
         nu1, nu2 = clamp_spectrum((nu1, nu2))
     return nu1, nu2
 
@@ -414,11 +417,14 @@ def condition_homodyne(cov: np.ndarray, mode: int, quad: Quadrature) -> np.ndarr
 def von_neumann_entropy(eigs: Iterable[float], xp=math) -> float:
     """Entropy in bits of a Gaussian state from its symplectic spectrum.
 
-    Each eigenvalue contributes
-    ``(nu+1)/2 * log2((nu+1)/2) - (nu-1)/2 * log2((nu-1)/2)``; the second
-    term is dropped for nu - 1 < 1e-12 (continuous limit of x log x).
-    Eigenvalues below 1 beyond rounding tolerance, NaN and infinity are
-    rejected. ``xp`` is ``math`` on floats and ``Column`` on swept columns.
+    Each eigenvalue contributes ``x log2 x - y log2 y`` with x = (nu+1)/2 and
+    y = (nu-1)/2. Both terms grow like nu log nu, so from nu - 1 = 1e-12 on
+    it is evaluated as ``log2 x + y log1p(1/y) / ln 2``, within a few ulps up
+    to nu = 1e300. Below that both terms are small and taken as written, the
+    logarithm's argument offset by 1e-300 so that nu = 1 (y log y -> 0) and a
+    value rounded just below 1 take the same branch. Eigenvalues below 1
+    beyond rounding tolerance, NaN and infinity are rejected. ``xp`` is
+    ``math`` on floats and ``Column`` on swept columns.
     """
     total = 0.0
     for nu in eigs:
@@ -426,8 +432,9 @@ def von_neumann_entropy(eigs: Iterable[float], xp=math) -> float:
             raise DomainError(f"symplectic eigenvalue {nu} is "
                               + ("below 1" if nu < 1.0 else "not finite"))
         x = (nu + 1.0) / 2.0
-        total += x * xp.log2(x)
+        y = (nu - 1.0) / 2.0
         if nu - 1.0 >= 1e-12:
-            x = (nu - 1.0) / 2.0
-            total -= x * xp.log2(x)
+            total += xp.log2(x) + y * xp.log1p(1.0 / y) / _LN2
+        else:
+            total += x * xp.log2(x) - y * xp.log2(abs(y) + 1e-300)
     return total

@@ -15,27 +15,21 @@ ancillas are on the trusted side, and S(E|B) = S(A, anc1, anc2 | B).
 
 It shares with the closed forms only ``LinkParams`` and its validation:
 none of the trust bookkeeping (``V -> V + xi_pr``, the ``xi_pr`` fold, the
-source variances, the receiver fold) reaches the oracle, so a mistake there
-shows as disagreement. The test references from ``_sources`` on do use that
-bookkeeping.
+end-to-end noise ``xi_tot``) reaches the oracle, so a mistake there shows as
+disagreement. The test references from ``_MIN_OPEN_PORT`` on use that
+bookkeeping and the paper's noise-source model instead: each noise source a
+thermal state of variance W = 1 + xi / (1 - T), and the untrusted receiver
+folded into the channel.
 """
 
 from __future__ import annotations
 
 import math
+from dataclasses import replace
 
 import numpy as np
 
-from .cloner import (
-    Detection,
-    LinkParams,
-    Trust,
-    _clamped_t,
-    effective_v,
-    effective_xi_ch,
-    noise_source_variances,
-    receiver_folded,
-)
+from .cloner import Detection, LinkParams, Trust, effective_v, effective_xi_ch
 from .gaussian import (
     Quadrature,
     apply_symplectic,
@@ -45,7 +39,7 @@ from .gaussian import (
     direct_sum,
     epr_state,
     extract_modes,
-    mode_permutation,  # unused here: perfbench/tracing.py binds it (ROADMAP item 6)
+    mode_permutation,  # unused here: perfbench/tracing.py binds it (ROADMAP item 3)
     symplectic_eigenvalues,
     thermal_state,
     two_mode_squeezer,
@@ -127,8 +121,44 @@ def oracle_holevo(params: LinkParams) -> float:
     return s_e - _measured_entropy(measured, params.detection)
 
 
+# The paper's noise-source model, kept as the test reference: each noise
+# source is a beamsplitter of transmittance T on a thermal state of variance
+# W = 1 + xi / (1 - T), so that its excess noise at the output is xi. A noisy
+# source needs a non-unit beamsplitter, so its port is kept this far open.
+_MIN_OPEN_PORT = 1e-12
+
+
+def _clamped_t(t: float, xi: float) -> float:
+    # the clamped value is used consistently in W and the propagation
+    return min(t, 1.0 - _MIN_OPEN_PORT) if xi > 0.0 else t
+
+
+def noise_source_variances(params: LinkParams) -> tuple[float, float]:
+    """Variances (W_ch, W_rec) of the noise-source states.
+
+    ``W = xi / (1 - T) + 1`` so that the excess noise at the respective
+    output equals xi. Transmittances are clamped to 1 - 1e-12 before the
+    division; with zero noise the source is vacuum regardless of T.
+    """
+    xi_ch = effective_xi_ch(params)
+    t_ch, t_rec = _clamped_t(params.t_ch, xi_ch), _clamped_t(params.t_rec, params.xi_rec)
+    return (1.0 if xi_ch == 0.0 else 1.0 + xi_ch / (1.0 - t_ch),
+            1.0 if params.xi_rec == 0.0 else 1.0 + params.xi_rec / (1.0 - t_rec))
+
+
+def receiver_folded(params: LinkParams) -> LinkParams:
+    """Equivalent link with the receiver absorbed into the channel.
+
+    With nothing trusted, the eavesdropper is credited with the end-to-end
+    loss and noise; the model collapses to a single effective channel
+    followed by an ideal receiver.
+    """
+    return replace(params, t_ch=params.t_tot, xi_ch=params.xi_tot, t_rec=1.0, xi_rec=0.0, xi_pr=0.0,
+                   trust=Trust.TRUSTED_RECEIVER)
+
+
 def _sources(params: LinkParams) -> tuple[float, float, float, float, float]:
-    # (V, t_ch, t_rec, W_ch, W_rec), attributed and clamped as the closed forms do
+    # (V, t_ch, t_rec, W_ch, W_rec), attributed and clamped consistently
     t_ch = _clamped_t(params.t_ch, effective_xi_ch(params))
     return (effective_v(params), t_ch, _clamped_t(params.t_rec, params.xi_rec),
             *noise_source_variances(params))

@@ -25,7 +25,7 @@ from cvrate import (
     optimize_vmod,
     optimize_vmod_trec_snr_locked,
 )
-from cvrate.cloner import effective_v, effective_xi_ch, receiver_folded
+from cvrate.cloner import effective_v, effective_xi_ch
 from cvrate.config import FiberModel
 from cvrate.gaussian import (
     Quadrature,
@@ -42,6 +42,7 @@ from cvrate.purification import (
     oracle_conditional_entropy,
     oracle_holevo,
     purified_total_state,
+    receiver_folded,
 )
 from cvrate.cli import main
 

@@ -16,7 +16,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from cvrate import Detection, LinkParams, PhysicalityError, ProtocolParams, Trust, evaluate
+from cvrate import Detection, DomainError, LinkParams, ProtocolParams, Trust, evaluate
 from cvrate.cli import CSV_COLUMNS, _fmt, _sweep_lines, main
 from cvrate.config import SWEEP_VARIABLES, FiberModel, SweepSpec
 
@@ -197,13 +197,14 @@ class TestRate:
         assert "Traceback" not in proc.stderr
 
     @pytest.mark.parametrize(
-        "edits",
-        [{"xi_rec = 0.05": "xi_rec = 1.7e308"},
-         {"v_mod = 4.0": "v_mod = 1.7e308", "trust = trusted_receiver": "trust = untrusted_all"}],
-        ids=["xi_rec", "v_mod-untrusted"],
+        "edits, value",
+        [({"xi_rec = 0.05": "xi_rec = 1.7e308"}, "nan"),
+         ({"v_mod = 4.0": "v_mod = 1.7e308", "trust = trusted_receiver": "trust = untrusted_all"}, "inf"),
+         ({"v_mod = 4.0": "v_mod = 1e200"}, "inf")],
+        ids=["xi_rec", "v_mod-untrusted", "v_mod-1e200"],
     )
-    def test_non_finite_spectrum_exits_2(self, tmp_path, edits):
-        # finite inputs whose eigenvalues come out NaN: rejected, never printed
+    def test_non_finite_spectrum_exits_2(self, tmp_path, edits, value):
+        # finite inputs whose eigenvalues overflow: rejected, never printed
         text = (ROOT / "configs" / "point.ini").read_text()
         for old, new in edits.items():
             assert old in text
@@ -211,7 +212,7 @@ class TestRate:
         proc = run_cli("rate", "--config", write(tmp_path, "huge.ini", text))
         assert proc.returncode == 2
         assert proc.stdout == ""
-        assert proc.stderr == "invalid input: symplectic eigenvalue nan is not finite\n"
+        assert proc.stderr == f"invalid input: symplectic eigenvalue {value} is not finite\n"
 
     @pytest.mark.parametrize(
         "text",
@@ -446,17 +447,17 @@ class TestSweepRows:
         assert capsys.readouterr().err == "invalid input: xi_ch must be finite and >= 0, got -0.1\n"
         assert not out.exists()
 
-    def test_row_the_clamp_rejects_fails_the_sweep(self, tmp_path, capsys):
-        # heterodyne trusted_receiver evaluates v_mod up to 1e16; at 1e17 the
-        # clamp rejects a spectrum value, so the whole sweep fails at that row
-        cfg = write(tmp_path, "clamp.ini", self._config("v_mod", 1e14, 1e17, 4, "log", "trusted_receiver"))
+    def test_row_that_overflows_fails_the_sweep(self, tmp_path, capsys):
+        # heterodyne trusted_receiver evaluates v_mod up to about 8.8e153; at
+        # 1e155 the state overflows, so the whole sweep fails at that row
+        cfg = write(tmp_path, "huge.ini", self._config("v_mod", 1e150, 1e155, 4, "log", "trusted_receiver"))
         base = LinkParams(v_mod=1.0, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1,
                           detection=Detection.HETERODYNE, trust=Trust.TRUSTED_RECEIVER)
         proto = ProtocolParams(beta=0.95)
-        *valid, last = np.geomspace(1e14, 1e17, 4).tolist()
+        *valid, last = np.geomspace(1e150, 1e155, 4).tolist()
         for v_mod in valid:
             evaluate(replace(base, v_mod=v_mod), proto)
-        with pytest.raises(PhysicalityError, match="violates the uncertainty bound") as rejected:
+        with pytest.raises(DomainError, match="is not finite") as rejected:
             evaluate(replace(base, v_mod=last), proto)
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
@@ -464,18 +465,18 @@ class TestSweepRows:
         assert not out.exists()
 
     def test_first_failing_row_wins_across_trust_cases(self, tmp_path, capsys):
-        # trusted_receiver fails from v_mod = 1e17 on and untrusted_all already
-        # at 1e16: the row of the lower value comes first, although its trust
-        # case comes second
-        cfg = write(tmp_path, "vmod.ini", self._config("v_mod", 1e14, 1e17, 4, "log",
-                                                       "trusted_receiver, untrusted_all"))
-        base = LinkParams(v_mod=1e16, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1,
+        # untrusted_all overflows from xi_rec = 4.25e307 on, trusted_receiver
+        # only from 1.275e308 (with a NaN, not an infinite, eigenvalue): the
+        # row of the lower value comes first, although its trust case comes second
+        cfg = write(tmp_path, "xi_rec.ini", self._config("xi_rec", 0.0, 1.7e308, 5, "linear",
+                                                         "trusted_receiver, untrusted_all"))
+        base = LinkParams(v_mod=4.0, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=4.25e307,
                           detection=Detection.HETERODYNE, trust=Trust.TRUSTED_RECEIVER)
         proto = ProtocolParams(beta=0.95)
         evaluate(base, proto)
-        with pytest.raises(PhysicalityError):
-            evaluate(replace(base, v_mod=1e17), proto)
-        with pytest.raises(PhysicalityError) as untrusted:
+        with pytest.raises(DomainError, match="nan is not finite"):
+            evaluate(replace(base, xi_rec=1.275e308), proto)
+        with pytest.raises(DomainError, match="inf is not finite") as untrusted:
             evaluate(replace(base, trust=Trust.UNTRUSTED_ALL), proto)
         out = tmp_path / "x.csv"
         assert main(["sweep", "--config", cfg, "--out", str(out)]) == 2
@@ -654,6 +655,7 @@ GOLDEN = [
         "golden_optimize_snr_locked.json",
     ),
     (["sweep", "--config", "configs/distance_sweep.ini"], "golden_sweep_distance.csv"),
+    (["rate", "--config", "tests/data/rate_vmod_1e19.ini"], "golden_rate_vmod_1e19.json"),
 ]
 
 # Non-optimized sweeps: every sweep variable, both detections, all three

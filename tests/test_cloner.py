@@ -12,14 +12,7 @@ from cvrate import (
     Trust,
     holevo_bound,
 )
-from cvrate.cloner import (
-    _args,
-    _noise_model,
-    effective_v,
-    effective_xi_ch,
-    noise_source_variances,
-    receiver_folded,
-)
+from cvrate.cloner import effective_v, effective_xi_ch
 from cvrate.gaussian import (
     Quadrature,
     condition_heterodyne,
@@ -30,7 +23,15 @@ from cvrate.gaussian import (
     two_mode_eigs,
     von_neumann_entropy,
 )
-from cvrate.purification import assemble_and_propagate, eve_state
+from cvrate.purification import (
+    assemble_and_propagate,
+    eve_state,
+    noise_source_variances,
+    oracle_holevo,
+    receiver_folded,
+)
+
+from _reference import noise_model
 
 SZ = np.diag([1.0, -1.0])
 
@@ -120,15 +121,18 @@ class TestNoiseSourceVariances:
         assert w_ch == 1.0
         assert math.isfinite(w_rec) and w_rec > 1e9
 
-    def test_noisy_lossless_channel_is_rejected(self):
-        with pytest.raises(DomainError, match="t_ch"):
-            noise_source_variances(make(t_ch=1.0, xi_ch=0.05))
-        # untrusted preparation noise counts as channel noise
-        with pytest.raises(DomainError, match="t_ch"):
-            holevo_bound(make(t_ch=1.0, xi_ch=0.0, xi_pr=0.3, trust=Trust.TRUSTED_RECEIVER))
-        # the receiver side has no such restriction
-        _, chi = holevo_bound(make(t_rec=1.0, xi_rec=0.05))
-        assert math.isfinite(chi)
+    def test_noisy_lossless_channel_keeps_its_port_open(self):
+        # the reference's source behind a unit transmittance is finite and huge
+        w_ch, _ = noise_source_variances(make(t_ch=1.0, xi_ch=0.05))
+        assert w_ch == pytest.approx(1.0 + 0.05 / 1e-12, rel=1e-3)
+        # the closed forms take the channel state itself: a noisy lossless
+        # channel, by its own noise or by untrusted preparation noise, and a
+        # noisy lossless receiver all evaluate, in agreement with the oracle
+        for p in (make(t_ch=1.0, xi_ch=0.05), make(t_rec=1.0, xi_rec=0.05),
+                  make(t_ch=1.0, xi_ch=0.0, xi_pr=0.3, trust=Trust.TRUSTED_RECEIVER)):
+            for detection, trust in itertools.product(Detection, Trust):
+                q = replace(p, detection=detection, trust=trust)
+                assert holevo_bound(q)[1] == pytest.approx(oracle_holevo(q), abs=1e-10)
 
 
 class TestPropagation:
@@ -139,7 +143,8 @@ class TestPropagation:
 
     def test_receiver_variance_value(self):
         p = make()
-        assert _noise_model(*_args(p))[5] == pytest.approx(2.33, abs=1e-14)
+        assert noise_model(p.v_mod, p.t_ch, p.xi_ch, p.t_rec, p.xi_rec, p.xi_pr, p.trust)[5] == pytest.approx(
+            2.33, abs=1e-14)
         total = assemble_and_propagate(p)
         assert total[2, 2] == pytest.approx(2.33, abs=1e-12)
 
@@ -235,9 +240,10 @@ class TestConditionalClosedForms:
 
     def test_conditioned_block_entries_match_coefficients(self):
         # the conditioned eavesdropper block itself, entry by entry, against
-        # the coefficient set the quadratic closed forms are built from
+        # the coefficient set the paper's quadratic closed forms are built from
         p = make(detection=Detection.HOMODYNE)
-        v, t_ch, t_rec, w_ch, w_rec, v_b, _ = _noise_model(*_args(p))
+        v, t_ch, t_rec, w_ch, w_rec, v_b, _ = noise_model(p.v_mod, p.t_ch, p.xi_ch, p.t_rec, p.xi_rec,
+                                                          p.xi_pr, p.trust)
         cross = math.sqrt(t_ch * (w_ch**2 - 1))
         refl = t_rec * v + (1 - t_rec) * w_rec
         e1 = v + t_ch * (w_ch - v) * refl / v_b
@@ -374,7 +380,7 @@ class TestHolevoBound:
             assert np.allclose(np.sort(pair.nu_pre), np.sort(generic), atol=1e-10)
 
     def test_pre_measurement_pair_survives_large_source_variance(self):
-        # t_ch just inside the supported region: W_ch ~ 1e4, where the naive
+        # a nearly lossless noisy channel, W_ch ~ 1e4, where the naive
         # discriminant (a+b)^2 - 4c^2 is already down to its last digits
         x = 1.2e-5
         p = make(t_ch=1.0 - x, xi_ch=0.11)
@@ -393,7 +399,8 @@ class TestReceiverFolded:
         q = receiver_folded(p)
         assert q.t_tot == pytest.approx(p.t_tot)
         assert q.xi_tot == pytest.approx(p.xi_tot)
-        assert _noise_model(*_args(q))[5] == pytest.approx(_noise_model(*_args(p))[5], abs=1e-12)
+        v_b = [noise_model(r.v_mod, r.t_ch, r.xi_ch, r.t_rec, r.xi_rec, r.xi_pr, r.trust)[5] for r in (p, q)]
+        assert v_b[1] == pytest.approx(v_b[0], abs=1e-12)
 
     def test_fold_is_transparent_receiver(self):
         q = receiver_folded(make())

@@ -519,3 +519,17 @@ class TestEntropy:
 
     def test_continuous_near_one(self):
         assert von_neumann_entropy([1.0 + 1e-13]) == pytest.approx(0.0, abs=1e-11)
+
+    @given(st.floats(min_value=0.0, max_value=300.0))
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    def test_within_1e13_of_exact_up_to_1e300(self, exponent):
+        # x log2 x - y log2 y with x, y = (nu +- 1) / 2 at 400 digits, within
+        # 1e-13 plus an ulp of the value (about 1e-13 itself near 1e300); both
+        # terms grow like nu log nu, so the float form must not subtract them
+        import mpmath
+
+        nu = 10.0 ** exponent
+        with mpmath.workdps(400):
+            x, y = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
+            exact = x * mpmath.log(x, 2) - (y * mpmath.log(y, 2) if y else 0)
+        assert abs(von_neumann_entropy([nu]) - exact) <= 1e-13 + 1e-16 * exact, nu

@@ -171,35 +171,24 @@ _NOISE = st.one_of(st.just(0.0), st.floats(min_value=1e-9, max_value=0.5))
 
 
 def _secret_fractions(link):
-    # beta = 1 secret fraction per trust case; None where the closed forms
-    # reject the link's channel noise-source variance as beyond their domain
+    # beta = 1 secret fraction per trust case
     proto = ProtocolParams(beta=1.0)
-    out = {}
-    for trust in Trust:
-        try:
-            out[trust] = evaluate(replace(link, trust=trust), proto).secret_fraction
-        except DomainError as exc:
-            if "noise-source variance" not in str(exc):
-                raise
-            out[trust] = None
-    return out
+    return {trust: evaluate(replace(link, trust=trust), proto).secret_fraction for trust in Trust}
 
 
 def _trust_order_holds(secret):
     pairs = [(Trust.UNTRUSTED_ALL, Trust.TRUSTED_RECEIVER),
              (Trust.TRUSTED_RECEIVER, Trust.TRUSTED_RECEIVER_AND_PREPARATION)]
-    return all(secret[lo] <= secret[hi] + 1e-9 for lo, hi in pairs
-               if secret[lo] is not None and secret[hi] is not None)
+    return all(secret[lo] <= secret[hi] + 1e-9 for lo, hi in pairs)
 
 
 class TestPhysicsInvariants:
     """Bounds that judge a rate with no second implementation, on v_mod up to
-    1e3; beyond that the closed forms' rounding breaks the trust order (see
-    ``test_trust_order_at_large_modulation``)."""
+    1e19."""
 
     LINKS = st.builds(
         LinkParams,
-        v_mod=st.floats(min_value=1e-3, max_value=1e3),
+        v_mod=st.floats(min_value=1e-3, max_value=1e19),
         t_ch=st.floats(min_value=1e-4, max_value=1.0),
         xi_ch=_NOISE,
         t_rec=st.floats(min_value=0.05, max_value=1.0),
@@ -216,7 +205,7 @@ class TestPhysicsInvariants:
         # operation, so T is the transmittance credited to the eavesdropper
         for trust, secret in _secret_fractions(link).items():
             t = link.t_tot if trust is Trust.UNTRUSTED_ALL else link.t_ch
-            if secret is not None and t < 1.0:
+            if t < 1.0:
                 assert secret <= -math.log2(1.0 - t) + 1e-9, (trust, secret)
 
     @given(link=LINKS)
@@ -226,9 +215,9 @@ class TestPhysicsInvariants:
         # device only takes from the eavesdropper
         assert _trust_order_holds(_secret_fractions(link))
 
-    @pytest.mark.xfail(strict=True, reason="ROADMAP item 1: the closed forms' smaller roots "
-                       "cancel at large v_mod; untrusted exceeds trusted_receiver by 1.1e-8 here")
     def test_trust_order_at_large_modulation(self):
+        # the W-form's smaller roots cancelled here: untrusted came out above
+        # trusted_receiver by 1.1e-8
         link = LinkParams(v_mod=6734.665810808852, t_ch=1.8193136017859748e-4,
                           t_rec=0.265780443346881, xi_ch=1.3666315688923624e-9, xi_rec=0.0,
                           xi_pr=5.376916336498614e-9, detection=Detection.HOMODYNE,
@@ -317,29 +306,37 @@ class TestSweptRates:
         proto = ProtocolParams(beta=0.95)
         assert all(min(evaluate(replace(p, t_rec=t), proto).eigs) == 1.0 for t in values)
 
-    def test_untrusted_heterodyne_unit_eigenvalue(self):
-        # the folded conditional pair holds an eigenvalue that is exactly 1 in
-        # exact arithmetic; it rounds to either side of 1 from row to row
+    def test_untrusted_conditional_pair_holds_an_exact_unit_eigenvalue(self):
+        # with nothing trusted the conditional pair is A's eigenvalue and a
+        # pure mode: exactly 1 on every row, with no row left to the float path
         p = make(t_ch=0.3, xi_ch=0.02, t_rec=0.7, xi_rec=0.05, trust=Trust.UNTRUSTED_ALL)
         values = [0.001 * k for k in range(1, 41)]
         assert _rows_against_evaluate(p, "xi_ch", values) == []
         proto = ProtocolParams(beta=0.95)
-        last = [evaluate(replace(p, xi_ch=x), proto).eigs[3] for x in values]
-        assert all(abs(nu - 1.0) < 1e-15 for nu in last)
-        assert {nu == 1.0 for nu in last} == {True, False}  # snapped rows and rows just above 1
+        assert all(evaluate(replace(p, xi_ch=x), proto).eigs[3] == 1.0 for x in values)
 
-    def test_channel_noise_cap_rows_go_to_the_float_path(self):
+    def test_nearly_lossless_noisy_channel_rows_stay_on_the_column(self):
+        # a noise-source variance W_ch of 1e3 to 5e4 SNU: the channel state
+        # has no W, so every row is evaluated, in agreement with the oracle
+        from cvrate.purification import oracle_holevo
+
         p = make(t_ch=1.0 - 1e-6, xi_ch=0.001)
-        values = [0.001, 0.005, 0.02, 0.05]  # W_ch of about 1e3, 5e3, 2e4 and 5e4 SNU
-        assert _rows_against_evaluate(p, "xi_ch", values) == [2, 3]
-        with pytest.raises(DomainError, match="beyond the supported"):
-            evaluate(replace(p, xi_ch=0.02), ProtocolParams(beta=0.95))
+        values = [0.001, 0.005, 0.02, 0.05]
+        assert _rows_against_evaluate(p, "xi_ch", values) == []
+        for x in values:
+            q = replace(p, xi_ch=x)
+            assert evaluate(q, ProtocolParams(beta=0.95)).chi_eb == pytest.approx(oracle_holevo(q), abs=1e-10)
 
     def test_underflowing_end_to_end_transmittance(self):
+        # t_ch t_rec = 0: the eavesdropper holds all of the receiver's noise
+        # and nothing of the signal, so chi is the entropy of B = 1 + xi_tot
+        from cvrate.gaussian import von_neumann_entropy
+
         p = make(t_ch=1e-200, trust=Trust.UNTRUSTED_ALL)
-        assert _rows_against_evaluate(p, "t_rec", [1e-200, 1e-100, 0.5]) == [0]
-        with pytest.raises(DomainError, match=r"t_ch must lie in \(0, 1\], got 0.0"):
-            evaluate(replace(p, t_rec=1e-200), ProtocolParams(beta=0.95))
+        assert _rows_against_evaluate(p, "t_rec", [1e-200, 1e-100, 0.5]) == []
+        q = replace(p, t_rec=1e-200)
+        res = evaluate(q, ProtocolParams(beta=0.95))
+        assert res.chi_eb == pytest.approx(von_neumann_entropy([1.0 + q.xi_tot]), abs=1e-15)
 
     @pytest.mark.parametrize("field", ["xi_ch", "xi_rec", "xi_pr"])
     @pytest.mark.parametrize("trust", list(Trust))
@@ -381,9 +378,12 @@ class TestSweptRates:
 
     @pytest.mark.parametrize("detection", list(Detection))
     @pytest.mark.parametrize("trust", list(Trust))
-    def test_zero_start_receiver_noise_reruns_once(self, passes, detection, trust):
-        # on a link with no other noise the noiseless row takes the other side
-        # of a noise branch: the first pass splits, the second runs on the rest
+    def test_zero_start_receiver_noise_takes_one_pass(self, passes, detection, trust):
+        # the closed forms take no branch on zero noise, so a trusted receiver's
+        # grid is one pass; with nothing trusted the noiseless row is a
+        # pure-loss link, whose smaller eigenvalue is 1 and rounds to either
+        # side of the entropy's branch, so that row alone reruns
         p = make(xi_ch=0.0, detection=detection, trust=trust)
-        assert _rows_against_evaluate(p, "xi_rec", [0.01 * k for k in range(21)]) == [0]
-        assert passes == [trust, trust]
+        redo = [0] if trust is Trust.UNTRUSTED_ALL else []
+        assert _rows_against_evaluate(p, "xi_rec", [0.01 * k for k in range(21)]) == redo
+        assert passes == [trust] * (1 + len(redo))

@@ -14,7 +14,6 @@ from cvrate import (
     holevo_bound,
 )
 from cvrate import cloner
-from cvrate.cloner import noise_source_variances
 from cvrate.gaussian import (
     Quadrature,
     apply_symplectic,
@@ -34,7 +33,9 @@ from cvrate.purification import (
     eve_state,
     oracle_conditional_entropy,
     oracle_holevo,
+    noise_source_variances,
     purified_total_state,
+    receiver_folded,
 )
 
 
@@ -116,16 +117,12 @@ class TestConditionalEntropy:
         assert oracle_conditional_entropy(p) == pytest.approx(0.0, abs=1e-9)
 
     def test_matches_closed_forms_on_mini_grid(self):
-        from cvrate.cloner import receiver_folded
-
         for p in MINI_GRID:
             q = receiver_folded(p) if p.trust is Trust.UNTRUSTED_ALL else p
             closed = von_neumann_entropy(holevo_bound(q)[0].nu_post)
             assert oracle_conditional_entropy(p) == pytest.approx(closed, abs=1e-8)
 
     def test_untrusted_equals_folded_trusted(self):
-        from cvrate.cloner import receiver_folded
-
         p = make(trust=Trust.UNTRUSTED_ALL)
         assert oracle_conditional_entropy(p) == pytest.approx(
             oracle_conditional_entropy(receiver_folded(p)), abs=1e-12
@@ -190,7 +187,7 @@ class TestOracleHolevo:
         assert oracle_holevo(p) == pytest.approx(chi, abs=1e-8)
 
 
-_EFFECTIVE, _FOLD = cloner._effective, cloner._fold
+_EFFECTIVE, _XI_TOT = cloner._effective, cloner._xi_tot
 
 
 def _without_prep_fold(v_mod, t_ch, xi_ch, xi_pr, trust):
@@ -198,19 +195,20 @@ def _without_prep_fold(v_mod, t_ch, xi_ch, xi_pr, trust):
 
 
 def _twice_prep_substitution(v_mod, t_ch, xi_ch, xi_pr, trust):
-    v, xi = _EFFECTIVE(v_mod, t_ch, xi_ch, xi_pr, trust)
-    return (v + xi_pr if trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION else v), xi
+    m, xi = _EFFECTIVE(v_mod, t_ch, xi_ch, xi_pr, trust)
+    return (m + xi_pr if trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION else m), xi
 
 
-def _half_folded_noise(v_mod, t_tot, xi_tot, detection):
-    return _FOLD(v_mod, t_tot, 0.5 * xi_tot, detection)
+def _half_xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr):
+    # the untrusted case credits the eavesdropper with half the end-to-end noise
+    return 0.5 * _XI_TOT(t_ch, xi_ch, t_rec, xi_rec, xi_pr)
 
 
 @pytest.mark.parametrize(
     "name, mutant",
     [("_effective", _without_prep_fold), ("_effective", _twice_prep_substitution),
-     ("_fold", _half_folded_noise)],
-    ids=["no-t_ch-xi_pr-fold", "V-plus-2-xi_pr", "half-folded-xi_tot"],
+     ("_xi_tot", _half_xi_tot)],
+    ids=["no-t_ch-xi_pr-fold", "V-plus-2-xi_pr", "half-xi_tot"],
 )
 def test_oracle_catches_bookkeeping_mutants(monkeypatch, name, mutant):
     # the oracle builds its states without the closed forms' trust bookkeeping,

@@ -97,9 +97,12 @@ def test_traced_sweep_builds_one_link_plus_the_redone_rows(tracer, tmp_path, mon
         return rows
 
     monkeypatch.setattr(cli, "_swept_rates", spy)
-    config = ROOT / "tests" / "data" / "sweep_t_rec.ini"  # ends at t_rec = 1
+    # starts at xi_ch = 0: with trusted preparation noise that row is a pure-loss
+    # channel, whose smaller eigenvalue is 1 and rounds to either side of the
+    # entropy's branch
+    config = ROOT / "tests" / "data" / "sweep_xi_ch.ini"
     tracer.active = True
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 0
     tracer.active = False
-    assert redone
+    assert len(redone) == 1
     assert tracer.layer_metrics()["cloner.linkparams_built"] == 1 + len(redone)
