@@ -10,10 +10,9 @@ Exit codes: 0 success, 1 I/O failure, 2 invalid physics or configuration,
 (value-major, trust-minor), so identical configs produce byte-identical
 files. Without ``optimize_vmod`` a sweep evaluates each trust case's whole
 grid in one pass through the closed forms, the swept field a
-``gaussian.Column`` (``keyrate._swept_rates``); a row that pass leaves to the
-float path (the minority side of a branch, or any row of a failed pass) goes
-through ``evaluate`` in sweep order, so an error names the row the per-row
-evaluation would. ``sweep --jobs N`` is accepted and ignored.
+``gaussian.Column`` (``keyrate._swept_rates``). A grid that pass refuses
+goes row by row through ``evaluate`` in sweep order, so an error names the
+row the per-row evaluation would. ``sweep --jobs N`` is accepted and ignored.
 """
 
 from __future__ import annotations
@@ -118,10 +117,9 @@ def _sweep_lines(spec: SweepSpec, base: LinkParams, proto: ProtocolParams, fiber
 
     swept = [_t_ch_or_nan(fiber, d) for d in grid] if distance else grid
     link = _args(base)
-    # per trust case: its cells, and the rates of its grid (None where the float path decides)
+    # per trust case: its cells, and the rates of its grid (None: the float path takes every row)
     cases = [(trust, f"{trust.value},{base.detection.value},",
-              [None] * len(grid) if spec.optimize_vmod else
-              _swept_rates(proto.beta, link[:7] + (trust,), field, swept))
+              None if spec.optimize_vmod else _swept_rates(proto.beta, link[:7] + (trust,), field, swept))
              for trust in spec.trust_cases]
     link_cells = [*map(_fmt, link[:6])]
     lines = []
@@ -130,9 +128,10 @@ def _sweep_lines(spec: SweepSpec, base: LinkParams, proto: ProtocolParams, fiber
         link_cells[index] = _fmt(swept[i])
         links = ",".join(link_cells)
         for trust, case, grid_rates in cases:
-            rates = grid_rates[i]
             row_links = links
-            if rates is None:
+            if grid_rates is not None:
+                rates = grid_rates[i]
+            else:
                 params = replace(base, trust=trust, **change(value))
                 if spec.optimize_vmod:
                     opt = optimize_vmod(params, proto)
@@ -149,7 +148,7 @@ def _sweep_lines(spec: SweepSpec, base: LinkParams, proto: ProtocolParams, fiber
 
 def _t_ch_or_nan(fiber: FiberModel, distance_km: float) -> float:
     # a length the fibre model rejects fails LinkParams' rule on t_ch, so its
-    # rows go through the float path, which raises the fibre model's error
+    # grid goes through the float path, which raises the fibre model's error
     try:
         return fiber.t_ch(distance_km)
     except DomainError:

@@ -29,9 +29,10 @@ steps that depend on the operand kind go through one seam: ``xp.sqrt``,
 ``xp.log2`` and ``xp.log1p`` (``xp`` is ``math`` on floats and ``Column`` on
 a column), the branch conditions and ``clamp_spectrum``; ``Column``
 documents how each keeps a row's bits equal to the float path's. A branch
-the rows of a column disagree on raises, and the sweep reruns without the
-minority. Every eigenvalue pair comes out larger first, the smaller root
-taken as the product over the larger; equal roots may round one ulp apart.
+the rows of a column disagree on raises, and the sweep sends that whole grid
+through the float path. Every eigenvalue pair comes out larger first, the
+smaller root taken as the product over the larger; equal roots may round one
+ulp apart.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.

@@ -3,8 +3,8 @@
 Combines the mutual information of the Gaussian channel with the
 eavesdropper bound from :mod:`cvrate.cloner` and the classical
 post-processing parameters into a single result record. ``_swept_rates``
-gives the numbers of a whole sweep grid, the swept field a
-``gaussian.Column``, and holds all the state of that pass.
+gives the numbers of a whole sweep grid in one pass, the swept field a
+``gaussian.Column``, or None to leave every row of it to ``evaluate``.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import numpy as np
 
 from .cloner import _FIELDS, Detection, LinkParams, Trust, _args, _holevo, _in_domain, _xi_tot, holevo_bound
 from .errors import DomainError
-from .gaussian import Column, _Split
+from .gaussian import Column
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -96,39 +96,27 @@ def _rates(beta: float, *link) -> tuple[float, float, float, float]:
     return snr_value, i_ab, chi, beta * i_ab - chi
 
 
-def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> list[tuple | None]:
+def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> list[list[float]] | None:
     """(SNR, I_AB, chi, secret fraction) of ``link`` (as ``cloner._args``
     gives it) with its ``field`` set to each of ``values``.
 
-    One pass through the closed forms with that field a ``Column`` of the
-    rows ``LinkParams`` accepts. A branch the rows split on drops the
-    minority and reruns; rows are independent, so that branch stays
-    unanimous. Any other error, or a non-finite result, leaves the grid to
-    the float path. A row gets None where the float path must decide it;
-    every other row has the bits ``evaluate`` gives it.
+    One pass through the closed forms with that field a ``Column`` of all
+    the values, every row getting the bits ``evaluate`` gives it. None
+    leaves the whole grid to the float path: a value ``LinkParams``
+    rejects, a branch the rows disagree on, any other error, or a
+    non-finite result.
     """
     values = np.array(values, dtype=float)
-    rows = np.flatnonzero(_in_domain(field, values))
+    if not _in_domain(field, values).all():
+        return None
     index = _FIELDS.index(field)
-    out = [None] * len(values)
-    if not rows.size:
-        return out
-    with np.errstate(all="raise", under="ignore"):
-        while True:
-            try:
-                rates = _rates(beta, *link[:index], Column.of(values[rows]), *link[index + 1:], Column)
-                break
-            except _Split as split:
-                rows = rows[split.majority]
-            except (ArithmeticError, ValueError, TypeError):
-                # a row the float path may reject, or a part of the link the
-                # column does not reach is rejected: the float path decides
-                return out
-    table = np.array([np.broadcast_to(rate, rows.size) for rate in rates])  # a rate may be a float
-    if np.isfinite(table).all():
-        for i, row in zip(rows.tolist(), table.T.tolist()):
-            out[i] = row
-    return out
+    try:
+        with np.errstate(all="raise", under="ignore"):
+            rates = _rates(beta, *link[:index], Column.of(values), *link[index + 1:], Column)
+    except (ArithmeticError, ValueError, TypeError):
+        return None
+    table = np.array([np.broadcast_to(rate, values.size) for rate in rates])  # a rate may be a float
+    return table.T.tolist() if np.isfinite(table).all() else None
 
 
 def _key_rate(proto: ProtocolParams, secret: float) -> float | None:

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 
 from cvrate import Detection, DomainError, LinkParams, ProtocolParams, Trust, evaluate
 from cvrate.cli import CSV_COLUMNS, _fmt, _sweep_lines, main
-from cvrate.config import SWEEP_VARIABLES, FiberModel, SweepSpec
+from cvrate.config import SWEEP_VARIABLES, FiberModel, SweepSpec, load_config, sweep_from_config
 
 POINT_CONFIG = """\
 [link]
@@ -404,9 +404,8 @@ class TestSweepRows:
         "t_rec": st.floats(min_value=-0.1, max_value=1.2),
         "v_mod": st.one_of(st.floats(min_value=1e-4, max_value=1e4), st.sampled_from([1e14, 1e17])),
     }
-    # a branch edge of each variable (zero noise, a lossless channel or
-    # receiver): a grid ending there splits the array pass, which reruns on
-    # the other rows
+    # an edge of each variable (zero noise, a lossless channel or receiver),
+    # where the closed forms meet their edge cases
     edges = {"distance_km": 0.0, "xi_ch": 0.0, "xi_rec": 0.0, "xi_pr": 0.0, "t_rec": 1.0}
 
     @given(st.data())
@@ -661,13 +660,14 @@ GOLDEN = [
 # Non-optimized sweeps: every sweep variable, both detections, all three
 # trust cases, with and without f_sym, and grids that start at zero noise
 # or end at t_rec = 1. Captured from the per-row evaluation before sweeps
-# were evaluated as arrays.
+# were evaluated as arrays; the chi-floor sweep, whose trusted grids go whole
+# to the float path, from 5ffcc1c, where the pass split them.
 GOLDEN_SWEEPS = [
     (["sweep", "--config", f"tests/data/sweep_{variable}.ini", "--detection", detection],
      f"golden_sweep_{variable}_{detection}.csv")
     for variable in ("distance_km", "xi_rec", "t_rec", "xi_pr", "xi_ch", "v_mod")
     for detection in ("hom", "het")
-]
+] + [(["sweep", "--config", "tests/data/sweep_chi_floor.ini"], "golden_sweep_chi_floor.csv")]
 
 
 @pytest.mark.parametrize("argv, golden", GOLDEN + GOLDEN_SWEEPS, ids=[g for _, g in GOLDEN + GOLDEN_SWEEPS])
@@ -676,6 +676,62 @@ def test_shipped_configs_match_golden_bytes(tmp_path, argv, golden):
     out = tmp_path / golden
     assert main(argv + ["--out", str(out)]) == 0
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
+
+
+# Every shipped and test-data config that sweeps without optimize_vmod but
+# the chi-floor grid, whose trusted grids go whole to the float path.
+ONE_PASS_SWEEPS = [
+    path for path in sorted([*(ROOT / "configs").glob("*.ini"), *(ROOT / "tests" / "data").glob("sweep_*.ini")])
+    if path.name != "sweep_chi_floor.ini"
+    for cfg in [load_config(path)] if cfg.has_section("sweep") and not sweep_from_config(cfg).optimize_vmod
+]
+
+
+@pytest.fixture
+def sweep_traffic(monkeypatch):
+    # the trust case of every pass over a column, and of every row the
+    # float path evaluates, in the sweeps run under it
+    import cvrate.cli as cli
+    import cvrate.keyrate as keyrate
+    from cvrate.gaussian import Column
+
+    passes, floats = [], []
+    rates, row_evaluate = keyrate._rates, cli.evaluate
+
+    def spy_rates(beta, *link):
+        if link[-1] is Column:
+            passes.append(link[7])
+        return rates(beta, *link)
+
+    def spy_evaluate(params, proto):
+        floats.append(params.trust)
+        return row_evaluate(params, proto)
+
+    monkeypatch.setattr(keyrate, "_rates", spy_rates)
+    monkeypatch.setattr(cli, "evaluate", spy_evaluate)
+    return passes, floats
+
+
+@pytest.mark.parametrize("detection", ["hom", "het"])
+@pytest.mark.parametrize("config", ONE_PASS_SWEEPS, ids=[path.name for path in ONE_PASS_SWEEPS])
+def test_sweep_configs_take_one_pass_per_trust_case(tmp_path, sweep_traffic, config, detection):
+    passes, floats = sweep_traffic
+    out = tmp_path / "sweep.csv"
+    assert main(["sweep", "--config", str(config), "--detection", detection, "--out", str(out)]) == 0
+    with out.open(newline="") as f:
+        trusts = list(dict.fromkeys(row["trust"] for row in csv.DictReader(f)))
+    assert [trust.value for trust in passes] == trusts
+    assert floats == []
+
+
+def test_chi_floor_grids_go_whole_to_the_float_path(tmp_path, sweep_traffic):
+    # with a trusted receiver chi rounds to either side of its floor at 0
+    # across the grid: the pass is refused and all 21 rows take the float path
+    passes, floats = sweep_traffic
+    config = ROOT / "tests" / "data" / "sweep_chi_floor.ini"
+    assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]) == 0
+    assert passes == list(Trust)
+    assert floats == [Trust.TRUSTED_RECEIVER, Trust.TRUSTED_RECEIVER_AND_PREPARATION] * 21
 
 
 # The output contract over generated INI files: every command exits 0 or 2

@@ -2,7 +2,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from cvrate import (
@@ -12,6 +12,7 @@ from cvrate import (
     UsageError,
 )
 from cvrate.gaussian import (
+    Column,
     Quadrature,
     SympMatrix,
     apply_symplectic,
@@ -520,16 +521,40 @@ class TestEntropy:
     def test_continuous_near_one(self):
         assert von_neumann_entropy([1.0 + 1e-13]) == pytest.approx(0.0, abs=1e-11)
 
+    def test_snap_band_below_one_is_accepted(self):
+        # a value rounded just below 1 takes the same formula, with y = |nu - 1| / 2
+        value = von_neumann_entropy([1.0 - 1e-10])
+        assert math.isfinite(value) and abs(value) <= 2e-9
+
+    def test_column_rows_have_the_float_bits(self):
+        nus = [1.0 - 1e-10, 1.0, 1.0 + 1e-13, 1.0 + 1e-12, 2.0, 1e300]
+        assert von_neumann_entropy([Column.of(nus)], xp=Column).tolist() == [von_neumann_entropy([nu]) for nu in nus]
+
+    @staticmethod
+    def exact(nu, digits):
+        # x log2 x - y log2 y with x, y = (nu +- 1) / 2
+        import mpmath
+
+        with mpmath.workdps(digits):
+            x, y = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
+            return x * mpmath.log(x, 2) - (y * mpmath.log(y, 2) if y else 0)
+
     @given(st.floats(min_value=0.0, max_value=300.0))
     @settings(deadline=None, derandomize=True, max_examples=400)
     def test_within_1e13_of_exact_up_to_1e300(self, exponent):
-        # x log2 x - y log2 y with x, y = (nu +- 1) / 2 at 400 digits, within
-        # 1e-13 plus an ulp of the value (about 1e-13 itself near 1e300); both
-        # terms grow like nu log nu, so the float form must not subtract them
-        import mpmath
-
+        # at 400 digits, within 1e-13 plus an ulp of the value (about 1e-13
+        # itself near 1e300); both terms grow like nu log nu, so the float
+        # form must not subtract them
         nu = 10.0 ** exponent
-        with mpmath.workdps(400):
-            x, y = (mpmath.mpf(nu) + 1) / 2, (mpmath.mpf(nu) - 1) / 2
-            exact = x * mpmath.log(x, 2) - (y * mpmath.log(y, 2) if y else 0)
+        exact = self.exact(nu, 400)
         assert abs(von_neumann_entropy([nu]) - exact) <= 1e-13 + 1e-16 * exact, nu
+
+    @given(st.floats(min_value=1.0, max_value=1.0 + 1e-9, exclude_min=True))
+    @example(math.nextafter(1.0, 2.0))
+    @example(math.nextafter(1.0 + 1e-12, 1.0))
+    @example(1.0 + 1e-12)
+    @example(1.0 + 1e-9)
+    @settings(deadline=None, derandomize=True, max_examples=400)
+    def test_within_2e16_of_exact_just_above_one(self, nu):
+        # y log1p(1/y) at y down to 1e-16, against 80 digits
+        assert abs(von_neumann_entropy([nu]) - self.exact(nu, 80)) <= 2e-16, nu

@@ -87,22 +87,24 @@ def test_traced_cli_call_is_counted(tracer, capsys):
 
 def test_traced_sweep_builds_one_link_plus_the_redone_rows(tracer, tmp_path, monkeypatch):
     # a non-optimized sweep runs each trust case's grid as arrays: only the
-    # config's link and the rows left to the float path build a LinkParams
+    # config's link and the rows of a grid left to the float path build a
+    # LinkParams
     redone = []
     swept_rates = cli._swept_rates
 
-    def spy(*args):
-        rows = swept_rates(*args)
-        redone.extend(row for row in rows if row is None)
+    def spy(beta, link, field, values):
+        rows = swept_rates(beta, link, field, values)
+        if rows is None:
+            redone.extend(values)
         return rows
 
     monkeypatch.setattr(cli, "_swept_rates", spy)
-    # starts at xi_ch = 0: with trusted preparation noise that row is a pure-loss
-    # channel, whose smaller eigenvalue is 1 and rounds to either side of the
-    # entropy's branch
+    # starts at xi_ch = 0: with trusted preparation noise that row is a
+    # pure-loss channel, whose smaller eigenvalue is 1 and may round to either
+    # side of it; the entropy is one formula there, so every grid is one pass
     config = ROOT / "tests" / "data" / "sweep_xi_ch.ini"
     tracer.active = True
     assert cli.main(["sweep", "--config", str(config), "--out", str(tmp_path / "x.csv")]) == 0
     tracer.active = False
-    assert len(redone) == 1
-    assert tracer.layer_metrics()["cloner.linkparams_built"] == 1 + len(redone)
+    assert redone == []
+    assert tracer.layer_metrics()["cloner.linkparams_built"] == 1
