@@ -21,18 +21,20 @@ The module holds the link records and the closed forms, and builds no
 covariance matrix: the model's matrix states belong to the oracle in
 :mod:`cvrate.purification`.
 
-``_holevo`` evaluates all three trust cases. The public functions pass a
-``LinkParams`` through ``_args``; optimizer probes call ``_holevo`` on plain
-floats with no ``LinkParams`` or array. A sweep passes one operand as a
-``gaussian.Column`` holding its whole grid, the others staying floats. The
-steps that depend on the operand kind go through one seam: ``xp.sqrt``,
-``xp.log2`` and ``xp.log1p`` (``xp`` is ``math`` on floats and ``Column`` on
-a column), the branch conditions and ``clamp_spectrum``; ``Column``
-documents how each keeps a row's bits equal to the float path's. A branch
-the rows of a column disagree on raises, and the sweep sends that whole grid
-through the float path. Every eigenvalue pair comes out larger first, the
-smaller root taken as the product over the larger; equal roots may round one
-ulp apart.
+The closed forms run in two stages. ``_link_stage`` holds what does not
+depend on v_mod (the trust and detection branches, the charged t, loss and
+xi, the receiver's input-referred noise n, mu + xi_tot and t_ch t_rec);
+``_closed_forms`` gives SNR, I_AB, both eigenvalue pairs and chi at one v_mod
+in one function body, calling only ``mode_entropy`` per eigenvalue and
+``clamp_spectrum`` for a value below 1. A sweep passes one operand as a
+``gaussian.Column`` holding its whole grid, which broadcasts through either
+stage. The steps that depend on the operand kind go through one seam:
+``xp.sqrt``, ``xp.log2``, ``xp.log1p`` (``xp`` is ``math`` on floats and
+``Column`` on a column), chi's floor, the branch conditions and
+``clamp_spectrum``; ``Column`` documents how each keeps a row's bits equal to
+the float path's. A branch the rows disagree on raises, and the sweep sends
+that whole grid through the float path. Every eigenvalue pair comes out
+larger first, the smaller root taken as the product over the larger.
 
 Everything here is a pure function of its inputs and safe to call
 concurrently.
@@ -45,8 +47,8 @@ import math
 from dataclasses import dataclass
 
 from .errors import DomainError, PhysicalityError
-from .gaussian import Column, clamp_spectrum, von_neumann_entropy
-from .gaussian import two_mode_eigs  # unused here: perfbench/tracing.py binds it (ROADMAP item 3)
+from .gaussian import Column, clamp_spectrum, mode_entropy
+from .gaussian import two_mode_eigs, von_neumann_entropy  # unused here: perfbench/tracing.py binds them
 
 # LinkParams' float fields, in the order _args and the float functions take them
 _FIELDS = ("v_mod", "t_ch", "xi_ch", "t_rec", "xi_rec", "xi_pr")
@@ -158,11 +160,11 @@ class EntropyPair:
     nu_post: tuple[float, float]
 
 
-def _effective(v_mod: float, t_ch: float, xi_ch: float, xi_pr: float, trust: Trust) -> tuple[float, float]:
-    # (V - 1, xi_ch) with the preparation noise attributed; see effective_v and effective_xi_ch
+def _effective(t_ch: float, xi_ch: float, xi_pr: float, trust: Trust) -> tuple[float, float]:
+    # (V - 1 - v_mod, xi_ch) with the preparation noise attributed; see effective_v
     if trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION:
-        return v_mod + xi_pr, xi_ch
-    return v_mod, xi_ch + t_ch * xi_pr
+        return xi_pr, xi_ch
+    return 0.0, xi_ch + t_ch * xi_pr
 
 
 def effective_v(params: LinkParams) -> float:
@@ -171,7 +173,7 @@ def effective_v(params: LinkParams) -> float:
     Trusted preparation noise is handled by substituting V -> V + xi_pr;
     in every other case the bare V = v_mod + 1 is used.
     """
-    return 1.0 + _effective(params.v_mod, params.t_ch, params.xi_ch, params.xi_pr, params.trust)[0]
+    return 1.0 + (params.v_mod + _effective(params.t_ch, params.xi_ch, params.xi_pr, params.trust)[0])
 
 
 def effective_xi_ch(params: LinkParams) -> float:
@@ -181,59 +183,67 @@ def effective_xi_ch(params: LinkParams) -> float:
     it is folded in as xi_ch + t_ch * xi_pr; trusted preparation noise is
     accounted for by the V -> V + xi_pr substitution instead.
     """
-    return _effective(params.v_mod, params.t_ch, params.xi_ch, params.xi_pr, params.trust)[1]
+    return _effective(params.t_ch, params.xi_ch, params.xi_pr, params.trust)[1]
 
 
 def _args(params: LinkParams) -> tuple:
-    # a link as the float functions take it (each ignores what it does not need)
+    # a link as the float functions take it: v_mod, then _link_stage's arguments
     return (params.v_mod, params.t_ch, params.xi_ch, params.t_rec, params.xi_rec, params.xi_pr,
             params.detection, params.trust)
 
 
-def _clamped(values: tuple, xp) -> tuple:
-    # clamp_spectrum holds the policy; floats at or above 1 need none of it
-    if xp is Column or min(values) < 1.0:
-        return clamp_spectrum(values)
-    return values
-
-
-def _roots(larger: float, product: float) -> tuple[float, float]:
-    # (larger, product / larger): a larger root that overflowed is rejected
-    # before the division can turn it into a spurious 0
-    if not larger < math.inf:
-        raise DomainError(f"symplectic eigenvalue {larger} is not finite")
-    return larger, product / larger
-
-
-def _holevo(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float, xi_pr: float,
-            detection: Detection, trust: Trust, xp=math) -> tuple:
-    # holevo_bound without a LinkParams: (S_E, S_E|B, nu_pre, nu_post, chi)
-    m, xi = _effective(v_mod, t_ch, xi_ch, xi_pr, trust)
+def _link_stage(t_ch: float, xi_ch: float, t_rec: float, xi_rec: float, xi_pr: float,
+                detection: Detection, trust: Trust) -> tuple:
+    # everything _closed_forms needs that does not depend on v_mod:
+    # (mu + xi_tot, t_ch t_rec, mu / 2, heterodyne, shift, t, loss, xi, n)
+    shift, xi = _effective(t_ch, xi_ch, xi_pr, trust)
+    xi_tot = _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr)
+    t_tot = t_ch * t_rec
+    heterodyne = detection is Detection.HETERODYNE
     if trust is Trust.UNTRUSTED_ALL:
         # the eavesdropper is credited with the receiver's loss and noise too
-        t, loss, xi = t_ch * t_rec, (1.0 - t_ch) + t_ch * (1.0 - t_rec), _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr)
+        t, loss, xi, n = t_tot, (1.0 - t_ch) + t_ch * (1.0 - t_rec), xi_tot, None
     else:
-        t, loss = t_ch, 1.0 - t_ch
+        # the receiver's noise referred to its input
+        t, loss, n = t_ch, 1.0 - t_ch, ((2.0 if heterodyne else 1.0) - t_rec + xi_rec) / t_rec
+    return detection.mu + xi_tot, t_tot, 0.5 * detection.mu, heterodyne, shift, t, loss, xi, n
+
+
+def _closed_forms(stage: tuple, v_mod: float, xp=math) -> tuple:
+    # (SNR, I_AB, S_E, S_E|B, nu_pre, nu_post, chi) at v_mod on a _link_stage
+    noise, t_tot, half_mu, heterodyne, shift, t, loss, xi, n = stage
+    snr = t_tot * v_mod / noise
+    i_ab = half_mu * xp.log2(1.0 + snr)
     # the state the eavesdropper purifies, [[a I, c sz], [c sz, b I]] with
     # a = m + 1, b = t m + 1 + xi and c^2 = t m (m + 2); delta = a - b and
     # u = ab - c^2 - 1 are written as sums free of cancellation
+    m = v_mod + shift
     a = m + 1.0
     b = t * m + 1.0 + xi
     delta = loss * m - xi
     u = loss * m + a * xi
     det = 1.0 + u
     z = delta * delta + 4.0 * det
-    pre = _clamped(_roots(0.5 * (xp.sqrt(z) + abs(delta)), det), xp)
-    heterodyne = detection is Detection.HETERODYNE
-    if trust is Trust.UNTRUSTED_ALL:
-        # S(E|B) = S(A|B): A conditioned on the receiver's outcome, and a pure mode
+    # each pair is (larger root, product / larger root); a larger root that
+    # overflowed is rejected before the division can turn it into a spurious 0
+    larger = 0.5 * (xp.sqrt(z) + abs(delta))
+    if not larger < math.inf:
+        raise DomainError(f"symplectic eigenvalue {larger} is not finite")
+    pre = larger, det / larger
+    if xp is Column or larger < 1.0 or pre[1] < 1.0:
+        pre = clamp_spectrum(pre)
+    s_e = mode_entropy(pre[0], xp) + mode_entropy(pre[1], xp)
+    if n is None:
+        # S(E|B) = S(A|B): A given the receiver's outcome, and a pure mode (entropy 0)
         nu = (det + a) / (b + 1.0) if heterodyne else xp.sqrt(a * det / b)
-        post = _clamped((nu,), xp) + (1.0,)
+        if xp is Column or nu < 1.0:
+            (nu,) = clamp_spectrum((nu,))
+        post = nu, 1.0
+        s_e_given_b = mode_entropy(nu, xp)
     else:
-        # the squares of the conditional pair solve r^2 - C r + D = 0, the
-        # receiver's noise referred to its input as n; every term is divided
-        # by s = b + n through q = n / s and p = 1 / s, so a large n cannot overflow
-        n = ((2.0 if heterodyne else 1.0) - t_rec + xi_rec) / t_rec
+        # the squares of the conditional pair solve r^2 - C r + D = 0; every
+        # term is divided by s = b + n through q = n / s and p = 1 / s, so a
+        # large n cannot overflow
         p = 1.0 / (b + n)
         q = n * p
         big_a = z - 2.0 * det
@@ -254,15 +264,20 @@ def _holevo(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float
             y = m * loss * (loss + xi) + xi * (xi + 3.0 * loss) + 2.0 * loss
             w = 2.0 * xp.sqrt(t * xi * (2.0 * loss + xi) * (1.0 + xi + m * (loss + xi)))
             alpha, beta = delta * rz * q + k * y, k * w
-            root = xp.sqrt(alpha * alpha + beta * beta)
-        r1, r2 = _roots(0.5 * (c_sum + root), d_prod)
-        post = _clamped((xp.sqrt(r1), xp.sqrt(r2)), xp)
-    s_e = von_neumann_entropy(pre, xp)
-    s_e_given_b = von_neumann_entropy(post, xp)
+            squares = alpha * alpha + beta * beta
+            # alpha^2 overflows long before the pair does; only then is the root hypot's
+            root = math.hypot(alpha, beta) if squares == math.inf else xp.sqrt(squares)
+        r1 = 0.5 * (c_sum + root)
+        if not r1 < math.inf:
+            raise DomainError(f"symplectic eigenvalue {r1} is not finite")
+        post = xp.sqrt(r1), xp.sqrt(d_prod / r1)
+        if xp is Column or post[0] < 1.0 or post[1] < 1.0:
+            post = clamp_spectrum(post)
+        s_e_given_b = mode_entropy(post[0], xp) + mode_entropy(post[1], xp)
     chi = s_e - s_e_given_b
     if chi < -1e-9:
         raise PhysicalityError(f"Holevo bound came out negative ({chi:.3e})")
-    return s_e, s_e_given_b, pre, post, max(chi, 0.0)
+    return snr, i_ab, s_e, s_e_given_b, pre, post, Column.floor(chi) if xp is Column else max(chi, 0.0)
 
 
 def holevo_bound(params: LinkParams) -> tuple[EntropyPair, float]:
@@ -274,5 +289,5 @@ def holevo_bound(params: LinkParams) -> tuple[EntropyPair, float]:
     receiver, and S(E|B) = S(A|B); with a trusted receiver, the state after
     the channel.
     """
-    *entropies, chi = _holevo(*_args(params))
+    _, _, *entropies, chi = _closed_forms(_link_stage(*_args(params)[1:]), params.v_mod)
     return EntropyPair(*entropies), chi

@@ -17,7 +17,7 @@ eigenvalues +-i nu of ``Omega @ cov``, without squaring the matrix.
 
 ``Column`` is the array operand of the closed forms in :mod:`cvrate.cloner`:
 one value per row of a sweep grid, taken by ``clamp_spectrum`` and
-``von_neumann_entropy`` wherever they take a float.
+``mode_entropy`` wherever they take a float.
 It holds nothing but its values; the state of a pass over a grid lives in
 ``keyrate._swept_rates``.
 """
@@ -283,6 +283,7 @@ class Column(np.ndarray):
     - ``Column.sqrt``, ``Column.log2`` and ``Column.log1p`` stand in for
       ``math``'s (the kernel's ``xp``); the logarithms call ``math``'s per
       row, since numpy's round differently on some inputs;
+    - ``Column.floor`` stands in for the floor ``max(x, 0.0)``;
     - a branch condition is its rows' common truth value, and raises
       ``ValueError`` where they differ;
     - ``clamp_spectrum`` applies its rule to the whole column.
@@ -318,6 +319,11 @@ class Column(np.ndarray):
         if not isinstance(x, Column):
             return math.log1p(x)
         return Column.of(list(map(math.log1p, x.tolist())))
+
+    @staticmethod
+    def floor(x) -> "Column":
+        """``max(x, 0.0)`` on each row, with its bits (-0.0 and NaN pass)."""
+        return Column.of(np.where(0.0 > x, 0.0, x))
 
     def clamped(self) -> "Column":
         """clamp_spectrum's rule on the whole column: rejected if any row is."""
@@ -406,25 +412,27 @@ def condition_homodyne(cov: np.ndarray, mode: int, quad: Quadrature) -> np.ndarr
     return 0.5 * (out + out.T)
 
 
-def von_neumann_entropy(eigs: Iterable[float], xp=math) -> float:
-    """Entropy in bits of a Gaussian state from its symplectic spectrum.
+def mode_entropy(nu: float, xp=math) -> float:
+    """Entropy in bits of one mode with symplectic eigenvalue ``nu``.
 
-    Each eigenvalue contributes ``x log2 x - y log2 y`` with x = (nu+1)/2 and
-    y = (nu-1)/2. Both terms grow like nu log nu, so it is evaluated as
-    ``log2 x + y log1p(1/y) / ln 2``, within a few ulps up to nu = 1e300.
-    That one formula serves every eigenvalue: y is taken as |nu - 1| / 2 and
-    offset by 1e-300 inside the ``log1p``, which changes no y of a float
-    nu > 1, gives exactly 0 at nu = 1 (y log y -> 0), and gives a value
-    rounded just below 1 a small positive entropy (1.5e-8 bits at the
-    tolerance's edge, 1 - 1e-9). Eigenvalues below 1 beyond that rounding
-    tolerance, NaN and infinity are rejected. ``xp`` is ``math`` on floats and
-    ``Column`` on swept columns.
+    ``x log2 x - y log2 y`` with x = (nu+1)/2 and y = (nu-1)/2; both terms
+    grow like nu log nu, so it is evaluated as ``log2 x + y log1p(1/y) / ln 2``,
+    within a few ulps up to nu = 1e300. y is taken as |nu - 1| / 2 and offset
+    by 1e-300 inside the ``log1p``, which changes no y of a float nu > 1, gives
+    exactly 0 at nu = 1 (y log y -> 0), and gives a value rounded just below 1
+    a small positive entropy (1.5e-8 bits at the tolerance's edge, 1 - 1e-9).
+    Eigenvalues below 1 beyond that tolerance, NaN and infinity are rejected.
+    ``xp`` is ``math`` on floats and ``Column`` on swept columns.
     """
+    if not (1.0 - CLAMP_TOL <= nu < math.inf):
+        raise DomainError(f"symplectic eigenvalue {nu} is " + ("below 1" if nu < 1.0 else "not finite"))
+    y = abs(nu - 1.0) * 0.5  # halving is exact: the bits of / 2, a little cheaper
+    return xp.log2((nu + 1.0) * 0.5) + y * xp.log1p(1.0 / (y + 1e-300)) / _LN2
+
+
+def von_neumann_entropy(eigs: Iterable[float], xp=math) -> float:
+    """Entropy in bits of a Gaussian state: :func:`mode_entropy` summed over its spectrum."""
     total = 0.0
     for nu in eigs:
-        if not (1.0 - CLAMP_TOL <= nu < math.inf):
-            raise DomainError(f"symplectic eigenvalue {nu} is "
-                              + ("below 1" if nu < 1.0 else "not finite"))
-        y = abs(nu - 1.0) * 0.5  # halving is exact: the bits of / 2, a little cheaper
-        total += xp.log2((nu + 1.0) * 0.5) + y * xp.log1p(1.0 / (y + 1e-300)) / _LN2
+        total += mode_entropy(nu, xp)
     return total

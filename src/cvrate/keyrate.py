@@ -1,10 +1,10 @@
 """Secure-fraction and key-rate assembly.
 
-Combines the mutual information of the Gaussian channel with the
-eavesdropper bound from :mod:`cvrate.cloner` and the classical
-post-processing parameters into a single result record. ``_swept_rates``
-gives the numbers of a whole sweep grid in one pass, the swept field a
-``gaussian.Column``, or None to leave every row of it to ``evaluate``.
+Combines the mutual information and the eavesdropper bound, both from the
+two-stage kernel of :mod:`cvrate.cloner`, with the classical post-processing
+parameters into one result record. ``_swept_rates`` gives the numbers of a
+whole sweep grid in one pass, the swept field a ``gaussian.Column``, or None
+to leave every row of it to ``evaluate``.
 """
 
 from __future__ import annotations
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .cloner import _FIELDS, Detection, LinkParams, Trust, _args, _holevo, _in_domain, _xi_tot, holevo_bound
+from .cloner import _FIELDS, LinkParams, _args, _closed_forms, _in_domain, _link_stage, holevo_bound
 from .errors import DomainError
 from .gaussian import Column
 
@@ -68,14 +68,6 @@ class RateResult:
     eigs: tuple[float, float, float, float]
 
 
-def _information(v_mod: float, t_ch: float, xi_ch: float, t_rec: float, xi_rec: float,
-                 xi_pr: float, detection: Detection, trust: Trust, xp=math) -> tuple[float, float]:
-    # (SNR, I_AB) for a link as cloner._args gives it
-    mu = detection.mu
-    snr_value = t_ch * t_rec * v_mod / (mu + _xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr))
-    return snr_value, 0.5 * mu * xp.log2(1.0 + snr_value)
-
-
 def snr(params: LinkParams) -> float:
     """Signal-to-noise ratio of the receiver's measurement.
 
@@ -83,17 +75,14 @@ def snr(params: LinkParams) -> float:
     quadratures, which shows up as one extra shot-noise unit in the
     denominator.
     """
-    return _information(*_args(params))[0]
+    return _closed_forms(_link_stage(*_args(params)[1:]), params.v_mod)[0]
 
 
-def _rates(beta: float, *link) -> tuple[float, float, float, float]:
-    # (SNR, I_AB, chi, secret fraction) of a link as cloner._args gives it, bit
-    # for bit evaluate's; on floats, [3] is the optimizer's probe. A sweep
-    # appends the kernel's xp (Column) to ``link``: a keyword xp would cost
-    # every float probe 0.3 us or more
-    snr_value, i_ab = _information(*link)
-    chi = _holevo(*link)[-1]
-    return snr_value, i_ab, chi, beta * i_ab - chi
+def _secret_fraction(beta: float, stage: tuple, v_mod: float) -> float:
+    # the optimizer's probe: evaluate(...).secret_fraction, bit for bit, at
+    # v_mod on a cloner._link_stage, with no LinkParams or RateResult
+    _, i_ab, _, _, _, _, chi = _closed_forms(stage, v_mod)
+    return beta * i_ab - chi
 
 
 def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> list[list[float]] | None:
@@ -110,9 +99,11 @@ def _swept_rates(beta: float, link: tuple, field: str, values: list[float]) -> l
     if not _in_domain(field, values).all():
         return None
     index = _FIELDS.index(field)
+    v_mod, *link = link[:index] + (Column.of(values),) + link[index + 1:]
     try:
         with np.errstate(all="raise", under="ignore"):
-            rates = _rates(beta, *link[:index], Column.of(values), *link[index + 1:], Column)
+            snr_value, i_ab, *_, chi = _closed_forms(_link_stage(*link), v_mod, Column)
+            rates = (snr_value, i_ab, chi, beta * i_ab - chi)
     except (ArithmeticError, ValueError, TypeError):
         return None
     table = np.array([np.broadcast_to(rate, values.size) for rate in rates])  # a rate may be a float
@@ -140,7 +131,8 @@ def evaluate(params: LinkParams, proto: ProtocolParams) -> RateResult:
     ``f_sym * (1 - fer) * (1 - disclosed_fraction) * max(secret_fraction, 0)``.
     """
     pair, chi = holevo_bound(params)
-    snr_value, i_ab = _information(*_args(params))
+    # SNR and I_AB from a second run: perfbench/tracing.py times holevo_bound
+    snr_value, i_ab = _closed_forms(_link_stage(*_args(params)[1:]), params.v_mod)[:2]
     secret = proto.beta * i_ab - chi
     return RateResult(
         snr=snr_value,

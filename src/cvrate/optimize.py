@@ -6,20 +6,22 @@ extremely flat optima that show up at long distances. Ties within 1e-10 of
 the maximum resolve to the least aggressive operating point: the smallest
 modulation variance, or the largest receiver transmittance.
 
-A probe is ``keyrate._rates(...)[3]`` on plain floats, bit for bit
-``evaluate(...).secret_fraction`` without a ``LinkParams``, ``RateResult`` or
-numpy array; only a search's optimum goes through ``evaluate``.
+A probe is ``keyrate._secret_fraction`` on plain floats and a link stage
+built once per search (per probe where t_rec moves), bit for bit
+``evaluate(...).secret_fraction``; only the optimum goes through ``evaluate``.
 """
 
 from __future__ import annotations
 
+import functools
 import math
+import operator
 from dataclasses import dataclass, replace
 from typing import Callable
 
-from .cloner import LinkParams, Trust, _args, _xi_tot
+from .cloner import LinkParams, Trust, _args, _link_stage, _xi_tot
 from .errors import ConstraintError, DomainError, UsageError
-from .keyrate import ProtocolParams, RateResult, _rates, evaluate, snr
+from .keyrate import ProtocolParams, RateResult, _secret_fraction, evaluate, snr
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0
 _FLAT_TOL = 1e-10
@@ -93,7 +95,7 @@ def _golden_max(
             d = a + _INVPHI * (b - a)
             fd = probe(d)
 
-    f_max = max(v for _, v in probes)
+    f_max = max(map(operator.itemgetter(1), probes))  # no generator: it would add a call per probe
     eligible = [u for u, v in probes if v >= f_max - _FLAT_TOL]
     u_star = max(eligible) if prefer_high else min(eligible)
 
@@ -122,11 +124,7 @@ def optimize_vmod(
         The optimizing v_mod (relative tolerance 1e-6), the rate evaluated
         there, and a flag when the optimum landed on a search bound.
     """
-    link = _args(params)[1:]
-
-    def objective(v: float) -> float:
-        return _rates(proto.beta, v, *link)[3]
-
+    objective = functools.partial(_secret_fraction, proto.beta, _link_stage(*_args(params)[1:]))
     v_star, boundary = _golden_max(objective, *bounds, prefer_high=False)
     return VmodOptimum(
         v_mod=v_star,
@@ -195,8 +193,8 @@ def optimize_vmod_trec_snr_locked(
         floor = t_cal * (1.0 - 1e-9)
 
     def objective(t: float) -> float:
-        return _rates(proto.beta, implied_vmod(t), t_ch, xi_ch, t, xi_rec, xi_pr,
-                      detection, trust)[3]
+        stage = _link_stage(t_ch, xi_ch, t, xi_rec, xi_pr, detection, trust)
+        return _secret_fraction(proto.beta, stage, implied_vmod(t))
 
     t_star, boundary = _golden_max(objective, floor, t_cal, prefer_high=True)
     v_star = implied_vmod(t_star)

@@ -15,8 +15,9 @@ trust bookkeeping, and evaluated with mpmath:
   ``het_pair`` and ``hom_pair`` cancel terms of order (V W)^2.
 
 ``exact_rates`` gives every numeric cell of a sweep row at 60 digits, from
-``cvrate.cloner._holevo`` itself run on mpmath numbers, so that the golden
-audit measures only the rounding of the float kernel.
+the kernel of ``cvrate.cloner`` itself (``_link_stage``, then
+``_closed_forms``) run on mpmath numbers, so that the golden audit measures
+only the rounding of the float kernel.
 """
 
 from __future__ import annotations
@@ -148,15 +149,15 @@ def holevo(p: LinkParams) -> mpmath.mpf:
 @contextlib.contextmanager
 def _exact_kernel():
     # cloner's clamp and entropy, replaced by their exact counterparts
-    with mock.patch.object(cloner, "_clamped", lambda values, xp: values), \
-            mock.patch.object(cloner, "von_neumann_entropy", lambda nus, xp: entropy(nus)):
+    with mock.patch.object(cloner, "clamp_spectrum", lambda values: values), \
+            mock.patch.object(cloner, "mode_entropy", lambda nu, xp: entropy((nu,))):
         yield
 
 
 def exact_rates(beta: float, link: tuple, prefactor: float | None) -> list:
     """(SNR, I_AB, chi, secret fraction, key rate) of ``link`` (as
-    ``cloner._args`` gives it) at 60 digits: ``cloner._holevo`` on mpmath
-    numbers, with an exact clamp and entropy. ``prefactor`` is the key
+    ``cloner._args`` gives it) at 60 digits: ``cloner._closed_forms`` on
+    mpmath numbers, with an exact clamp and entropy. ``prefactor`` is the key
     rate's f_sym (1 - fer)(1 - disclosed), or None without a symbol rate."""
     *fields, detection, trust = link
     with mpmath.workdps(60), _exact_kernel():
@@ -164,7 +165,8 @@ def exact_rates(beta: float, link: tuple, prefactor: float | None) -> list:
         mu = 2 if detection is Detection.HETERODYNE else 1
         snr = t_ch * t_rec * v_mod / (mu + t_ch * t_rec * xi_pr + t_rec * xi_ch + xi_rec)
         i_ab = mu * mpmath.log(1 + snr, 2) / 2
-        chi = cloner._holevo(v_mod, t_ch, xi_ch, t_rec, xi_rec, xi_pr, detection, trust, MP)[-1]
+        stage = cloner._link_stage(t_ch, xi_ch, t_rec, xi_rec, xi_pr, detection, trust)
+        chi = cloner._closed_forms(stage, v_mod, MP)[-1]
         secret = beta * i_ab - chi
         key = None if prefactor is None else prefactor * max(secret, 0)
         return [snr, i_ab, chi, secret, key]

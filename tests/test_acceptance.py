@@ -381,13 +381,13 @@ def test_closed_forms_and_optimizers_match_golden_values(monkeypatch):
     from cvrate import optimize as optimize_module
 
     probes = [0]
-    probe = optimize_module._rates
+    probe = optimize_module._secret_fraction
 
     def counted(*args):
         probes[0] += 1
         return probe(*args)
 
-    monkeypatch.setattr(optimize_module, "_rates", counted)
+    monkeypatch.setattr(optimize_module, "_secret_fraction", counted)
     golden = json.loads((Path(__file__).resolve().parent / "data" / "golden_closed_forms.json").read_text())
 
     assert [row["grid_index"] for row in golden["evaluate"]] == list(range(0, len(GRID), 7))

@@ -655,6 +655,7 @@ GOLDEN = [
     ),
     (["sweep", "--config", "configs/distance_sweep.ini"], "golden_sweep_distance.csv"),
     (["rate", "--config", "tests/data/rate_vmod_1e19.ini"], "golden_rate_vmod_1e19.json"),
+    (["rate", "--config", "tests/data/rate_hom_overflow.ini"], "golden_rate_hom_overflow.json"),
 ]
 
 # Non-optimized sweeps: every sweep variable, both detections, all three
@@ -678,36 +679,40 @@ def test_shipped_configs_match_golden_bytes(tmp_path, argv, golden):
     assert out.read_bytes() == (ROOT / "tests" / "data" / golden).read_bytes()
 
 
-# Every shipped and test-data config that sweeps without optimize_vmod but
-# the chi-floor grid, whose trusted grids go whole to the float path.
+# Every shipped and test-data config that sweeps without optimize_vmod.
 ONE_PASS_SWEEPS = [
     path for path in sorted([*(ROOT / "configs").glob("*.ini"), *(ROOT / "tests" / "data").glob("sweep_*.ini")])
-    if path.name != "sweep_chi_floor.ini"
     for cfg in [load_config(path)] if cfg.has_section("sweep") and not sweep_from_config(cfg).optimize_vmod
 ]
 
 
 @pytest.fixture
 def sweep_traffic(monkeypatch):
-    # the trust case of every pass over a column, and of every row the
-    # float path evaluates, in the sweeps run under it
+    # the trust case of every pass over a column (the closed forms run with
+    # Column as xp, on the link stage keyrate built last), and of every row
+    # the float path evaluates, in the sweeps run under it
     import cvrate.cli as cli
     import cvrate.keyrate as keyrate
     from cvrate.gaussian import Column
 
-    passes, floats = [], []
-    rates, row_evaluate = keyrate._rates, cli.evaluate
+    passes, floats, trust = [], [], []
+    link_stage, closed_forms, row_evaluate = keyrate._link_stage, keyrate._closed_forms, cli.evaluate
 
-    def spy_rates(beta, *link):
-        if link[-1] is Column:
-            passes.append(link[7])
-        return rates(beta, *link)
+    def spy_stage(*link):
+        trust[:] = link[-1:]
+        return link_stage(*link)
+
+    def spy_forms(stage, v_mod, *xp):
+        if xp == (Column,):
+            passes.extend(trust)
+        return closed_forms(stage, v_mod, *xp)
 
     def spy_evaluate(params, proto):
         floats.append(params.trust)
         return row_evaluate(params, proto)
 
-    monkeypatch.setattr(keyrate, "_rates", spy_rates)
+    monkeypatch.setattr(keyrate, "_link_stage", spy_stage)
+    monkeypatch.setattr(keyrate, "_closed_forms", spy_forms)
     monkeypatch.setattr(cli, "evaluate", spy_evaluate)
     return passes, floats
 
@@ -724,14 +729,15 @@ def test_sweep_configs_take_one_pass_per_trust_case(tmp_path, sweep_traffic, con
     assert floats == []
 
 
-def test_chi_floor_grids_go_whole_to_the_float_path(tmp_path, sweep_traffic):
+def test_chi_floor_grids_take_one_pass_per_trust_case(tmp_path, sweep_traffic):
     # with a trusted receiver chi rounds to either side of its floor at 0
-    # across the grid: the pass is refused and all 21 rows take the float path
+    # across the grid: the column floors each row as max(chi, 0.0) would,
+    # so no row takes the float path
     passes, floats = sweep_traffic
     config = ROOT / "tests" / "data" / "sweep_chi_floor.ini"
     assert main(["sweep", "--config", str(config), "--out", str(tmp_path / "sweep.csv")]) == 0
     assert passes == list(Trust)
-    assert floats == [Trust.TRUSTED_RECEIVER, Trust.TRUSTED_RECEIVER_AND_PREPARATION] * 21
+    assert floats == []
 
 
 # The output contract over generated INI files: every command exits 0 or 2

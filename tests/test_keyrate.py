@@ -16,8 +16,8 @@ from cvrate import (
     evaluate,
 )
 from cvrate.keyrate import snr
-from cvrate.cloner import _args
-from cvrate.keyrate import _rates, _swept_rates
+from cvrate.cloner import _args, _link_stage
+from cvrate.keyrate import _secret_fraction, _swept_rates
 
 
 def make(v_mod=4.0, t_ch=0.5, xi_ch=0.05, t_rec=0.6, xi_rec=0.1, xi_pr=0.0,
@@ -248,7 +248,7 @@ class TestFloatProbe:
         p = make(v_mod=v_mod, t_ch=t_ch, xi_ch=xi_ch, t_rec=t_rec, xi_rec=xi_rec, xi_pr=xi_pr,
                  detection=detection, trust=trust)
         expected = _outcome(lambda: evaluate(p, ProtocolParams(beta=beta)).secret_fraction)
-        assert _outcome(lambda: _rates(beta, *_args(p))[3]) == expected
+        assert _outcome(lambda: _secret_fraction(beta, _link_stage(*_args(p)[1:]), p.v_mod)) == expected
 
 
 def _rows_against_evaluate(p, field, values, beta=0.95):
@@ -352,17 +352,25 @@ class TestSweptRates:
 
     @pytest.fixture
     def passes(self, monkeypatch):
-        # the trust case of every pass _swept_rates makes over a column
+        # the trust case of every pass _swept_rates makes over a column: the
+        # closed forms run with Column as xp, on the link stage keyrate built last
         import cvrate.keyrate as keyrate
+        from cvrate.gaussian import Column
 
-        seen = []
-        rates = keyrate._rates
+        seen, trust = [], []
+        link_stage, closed_forms = keyrate._link_stage, keyrate._closed_forms
 
-        def spy(beta, *link):
-            seen.append(link[7])
-            return rates(beta, *link)
+        def spy_stage(*link):
+            trust[:] = link[-1:]
+            return link_stage(*link)
 
-        monkeypatch.setattr(keyrate, "_rates", spy)
+        def spy_forms(stage, v_mod, *xp):
+            if xp == (Column,):
+                seen.extend(trust)
+            return closed_forms(stage, v_mod, *xp)
+
+        monkeypatch.setattr(keyrate, "_link_stage", spy_stage)
+        monkeypatch.setattr(keyrate, "_closed_forms", spy_forms)
         return seen
 
     @pytest.mark.parametrize("detection", list(Detection))

@@ -1,4 +1,5 @@
 import math
+import sys
 import warnings
 from dataclasses import replace
 
@@ -76,6 +77,32 @@ class TestOptimizeVmod:
             best = int(np.argmax(rs))
             assert opt.result.secret_fraction >= rs[best] - 1e-12
             assert abs(math.log(opt.v_mod) - math.log(grid[best])) <= du
+
+    @pytest.mark.parametrize("detection", list(Detection))
+    @pytest.mark.parametrize("trust", list(Trust))
+    def test_probe_call_budget(self, detection, trust):
+        # a probe is one flat pass through the closed forms: every Python-level
+        # call of the whole search, its set-up and final evaluate included,
+        # comes to at most 8 per probe (14.4 when each closed form was a helper)
+        from cvrate.keyrate import _secret_fraction
+
+        p = make(v_mod=4.0, t_ch=0.3, xi_ch=0.02, t_rec=0.7, xi_rec=0.05, xi_pr=0.01,
+                 detection=detection, trust=trust)
+        calls, probes = [0], [0]
+
+        def profile(frame, event, arg):
+            if event == "call":
+                calls[0] += 1
+                probes[0] += frame.f_code is _secret_fraction.__code__
+
+        previous = sys.getprofile()
+        sys.setprofile(profile)
+        try:
+            optimize_vmod(p, PROTO)
+        finally:
+            sys.setprofile(previous)
+        assert probes[0] == 93
+        assert calls[0] <= 8 * probes[0]
 
 
 class TestGoldenMax:

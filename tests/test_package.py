@@ -40,7 +40,7 @@ def test_closed_forms_build_no_matrix():
         for node in ast.walk(tree) if isinstance(node, ast.ImportFrom) and node.module == "gaussian"
         for alias in node.names
     }
-    assert from_gaussian == {"Column", "clamp_spectrum", "two_mode_eigs", "von_neumann_entropy"}
+    assert from_gaussian == {"Column", "clamp_spectrum", "mode_entropy", "two_mode_eigs", "von_neumann_entropy"}
     assert "gaussian" not in vars(cvrate.cloner)  # nor the module itself
 
 

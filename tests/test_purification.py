@@ -190,13 +190,13 @@ class TestOracleHolevo:
 _EFFECTIVE, _XI_TOT = cloner._effective, cloner._xi_tot
 
 
-def _without_prep_fold(v_mod, t_ch, xi_ch, xi_pr, trust):
-    return _EFFECTIVE(v_mod, 0.0, xi_ch, xi_pr, trust)  # t_ch enters only the t_ch*xi_pr fold
+def _without_prep_fold(t_ch, xi_ch, xi_pr, trust):
+    return _EFFECTIVE(0.0, xi_ch, xi_pr, trust)  # t_ch enters only the t_ch*xi_pr fold
 
 
-def _twice_prep_substitution(v_mod, t_ch, xi_ch, xi_pr, trust):
-    m, xi = _EFFECTIVE(v_mod, t_ch, xi_ch, xi_pr, trust)
-    return (m + xi_pr if trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION else m), xi
+def _twice_prep_substitution(t_ch, xi_ch, xi_pr, trust):
+    shift, xi = _EFFECTIVE(t_ch, xi_ch, xi_pr, trust)
+    return (shift + xi_pr if trust is Trust.TRUSTED_RECEIVER_AND_PREPARATION else shift), xi
 
 
 def _half_xi_tot(t_ch, xi_ch, t_rec, xi_rec, xi_pr):

@@ -91,6 +91,13 @@ class TestWFormReference:
     def test_formerly_wrong_links(self, p):
         assert abs(holevo_bound(p)[1] - _reference.holevo(p)) <= 1e-12
 
+    def test_trusted_homodyne_square_overflow(self):
+        # the trusted homodyne discriminant's alpha^2 overflows long before the
+        # pair does; this link was rejected with "symplectic eigenvalue inf"
+        p = _link(v_mod=4.0743912380355906e150, t_ch=2.64e-4, xi_ch=0.0, t_rec=0.118, xi_rec=0.0,
+                  detection=Detection.HOMODYNE)
+        assert abs(holevo_bound(p)[1] - _reference.holevo(p)) <= 1e-10
+
 
 # the sweep goldens: (config, detection) -> file
 GOLDEN_SWEEPS = [("configs/distance_sweep.ini", None, "golden_sweep_distance.csv")] + [
